@@ -14,7 +14,8 @@
 //                loss.
 //
 // The headline numbers are packets lost per failure and the switchover
-// wall clock (replay.failover.switchover_ns); the self-check enforces
+// wall clock (compile.fail_link_ns: apply_failure's time per failure
+// event); the self-check enforces
 // the PR's acceptance bar: protected runs must perform zero window
 // recompiles and lose strictly fewer packets than unprotected ones.
 
@@ -68,7 +69,7 @@ ModeOutcome run_mode(const hp::scenario::ScenarioSpec& spec, unsigned k) {
   out.backup_routes = fabric.compile_stats().backup_routes;
   out.backup_swaps = fabric.compile_stats().backup_swaps;
   const hp::obs::MetricsSnapshot snap = registry.snapshot();
-  if (const auto* h = snap.find("replay.failover.switchover_ns")) {
+  if (const auto* h = snap.find("compile.fail_link_ns")) {
     out.switchover_ns_mean = h->histogram.mean();
   }
   if (const auto* h = snap.find("replay.failover.stretch_pct")) {

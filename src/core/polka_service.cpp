@@ -282,7 +282,8 @@ BatchForwardReport PolkaService::replay_workload(
                         static_cast<std::uint32_t>(lane_id));
     }
     const auto sharded = hp::scenario::replay_shards(
-        fast, labels, firsts, lane_index, expected, {}, threads, batch_size);
+        fast, labels, firsts, lane_index, expected, {},
+        hp::scenario::SegmentTable{}, threads, batch_size);
     report.packets += sharded.packets;
     report.mod_operations += sharded.mod_operations;
     report.mismatches += sharded.wrong_egress;

@@ -1,6 +1,7 @@
 #include "scenario/fabric_builder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
@@ -107,7 +108,11 @@ const netsim::PathTree& BuiltFabric::tree_for(NodeIndex src) {
 CompiledRoute& BuiltFabric::store_route(RouteKey key, CompiledRoute&& route,
                                         bool count_compile) {
   const auto [it, inserted] = routes_.try_emplace(key);
-  if (!inserted) unindex_route(key, it->second.path);
+  if (inserted) {
+    severed_.erase(key);
+  } else {
+    unindex_route(key, it->second.path);
+  }
   it->second = std::move(route);
   for (const netsim::LinkIndex l : it->second.path) {
     routes_by_link_[l].push_back(key);
@@ -581,20 +586,7 @@ FailoverReport BuiltFabric::apply_failure(NodeIndex a, NodeIndex b) {
   } else {
     // Eager path (the pre-protection behaviour): subtree-scoped repair
     // of each source's severed destinations inside the event.
-    std::unordered_map<NodeIndex, std::vector<NodeIndex>> by_source;
-    for (const auto& [src, dst] : report.affected) {
-      by_source[src].push_back(dst);
-    }
-    for (const auto& [src, dsts] : by_source) {
-      (void)compile_subtree(src, dsts);
-    }
-    for (const auto& pr : report.affected) {
-      if (routes_.contains(netsim::node_pair_key(pr.first, pr.second))) {
-        report.repaired.push_back(pr);
-      } else {
-        report.unroutable.push_back(pr);
-      }
-    }
+    recompile_pairs(report.affected, report);
   }
   report.window_recompiles = stats_.routes_compiled - before.routes_compiled;
   // The hitless acceptance bar, now a contract: with protection
@@ -620,23 +612,7 @@ FailoverReport BuiltFabric::repair_pending() {
   std::ranges::sort(work);
   work.erase(std::unique(work.begin(), work.end()), work.end());
 
-  std::unordered_map<NodeIndex, std::vector<NodeIndex>> by_source;
-  for (const auto& [src, dst] : work) by_source[src].push_back(dst);
-  for (const auto& [src, dsts] : by_source) {
-    (void)compile_subtree(src, dsts);
-  }
-  for (const auto& pr : work) {
-    const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
-    const auto it = routes_.find(key);
-    if (it == routes_.end()) {
-      report.unroutable.push_back(pr);
-      continue;
-    }
-    report.repaired.push_back(pr);
-    // The pair's old protection set is dead; replan it against the
-    // repaired primary and the degraded topology.
-    if (protection_k_ > 0) (void)protect_pair(key, it->second);
-  }
+  recompile_pairs(work, report);
   report.window_recompiles = stats_.routes_compiled - before.routes_compiled;
   note_compile("repair_pending", stats_, t0);
   return report;
@@ -655,6 +631,7 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
     report.duplicate = true;
     return report;
   }
+  const CompileStats before = stats_;
   link_down_[*fwd] = 0;
   link_down_[*rev] = 0;
   std::erase(banned_links_, *fwd);
@@ -681,7 +658,6 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       const auto pr = netsim::node_pair_from_key(key);
       store_route(key, std::move(it->second), /*count_compile=*/false);
       saved_primary_.erase(it);
-      backups_.release(key);
       ++stats_.backup_swaps;
       report.affected.push_back(pr);
       report.swapped.push_back(pr);
@@ -693,15 +669,53 @@ FailoverReport BuiltFabric::restore_link(NodeIndex a, NodeIndex b) {
       metrics_->counter("compile.backup_swaps").add(report.swapped.size());
     }
   }
+
+  // Severed pairs the revived link reconnects -- both ends now in a's
+  // component -- are recompiled; the rest stay severed, unreported.
+  std::vector<std::pair<NodeIndex, NodeIndex>> retry;
+  if (!severed_.empty()) {
+    const netsim::PathTree& joined = tree_for(a);
+    for (const RouteKey key : severed_) {
+      const auto pr = netsim::node_pair_from_key(key);
+      if (std::isfinite(joined.dist[pr.first]) &&
+          std::isfinite(joined.dist[pr.second])) {
+        retry.push_back(pr);
+      }
+    }
+  }
+  if (!retry.empty()) {
+    FailoverReport revived;
+    recompile_pairs(retry, revived);
+    report.affected.insert(report.affected.end(), revived.repaired.begin(),
+                           revived.repaired.end());
+    report.repaired = std::move(revived.repaired);
+  }
+  report.window_recompiles = stats_.routes_compiled - before.routes_compiled;
   note_compile("restore_link", stats_, t0);
   return report;
 }
 
-std::vector<std::pair<NodeIndex, NodeIndex>> BuiltFabric::fail_link(
-    NodeIndex a, NodeIndex b) {
-  FailoverReport report = apply_failure(a, b);
-  if (!report.pending.empty()) (void)repair_pending();
-  return std::move(report.affected);
+void BuiltFabric::recompile_pairs(
+    std::span<const std::pair<NodeIndex, NodeIndex>> pairs,
+    FailoverReport& report) {
+  std::unordered_map<NodeIndex, std::vector<NodeIndex>> by_source;
+  for (const auto& [src, dst] : pairs) by_source[src].push_back(dst);
+  for (const auto& [src, dsts] : by_source) {
+    (void)compile_subtree(src, dsts);
+  }
+  for (const auto& pr : pairs) {
+    const RouteKey key = netsim::node_pair_key(pr.first, pr.second);
+    const auto it = routes_.find(key);
+    if (it == routes_.end()) {
+      report.unroutable.push_back(pr);
+      severed_.insert(key);
+      continue;
+    }
+    report.repaired.push_back(pr);
+    // The pair's old protection set is dead; replan it against the
+    // repaired primary and the degraded topology.
+    if (protection_k_ > 0) (void)protect_pair(key, it->second);
+  }
 }
 
 }  // namespace hp::scenario

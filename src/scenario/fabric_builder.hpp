@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -72,7 +73,7 @@ struct CompiledRoute {
 };
 
 /// Counters behind the route compiler, exposed so tests and benches can
-/// assert *how much* work a call performed (e.g. that fail_link
+/// assert *how much* work a call performed (e.g. that apply_failure
 /// recompiled only the routes crossing the dead link).
 struct CompileStats {
   std::size_t routes_compiled = 0;  ///< CompiledRoute entries written
@@ -92,8 +93,8 @@ struct CompileStats {
 ///  * swapped     served hitlessly by a pre-installed backup (or, on
 ///                restore, reverted to its revived primary);
 ///                swap_stretch is parallel to it;
-///  * repaired    eagerly recompiled inside the event (unprotected
-///                fabrics only);
+///  * repaired    recompiled inside the event: eagerly on unprotected
+///                fabrics, or severed pairs a restore reconnects;
 ///  * pending     protection set entirely dead; parked for
 ///                repair_pending() (the lazy window);
 ///  * unroutable  no path left in the degraded topology (repair_pending
@@ -146,8 +147,8 @@ class BuiltFabric {
   /// Compile (and cache) the shortest-hop route between two distinct
   /// routers, given as topology indices.  Returns nullptr when `dst` is
   /// unreachable from `src` (possible after link failures).  The
-  /// returned pointer stays valid until the route is invalidated by
-  /// fail_link.  Not thread-safe: compile every route before sharding
+  /// returned pointer stays valid until the next link event replaces
+  /// the route.  Not thread-safe: compile every route before sharding
   /// a replay across threads.
   [[nodiscard]] const CompiledRoute* route(netsim::NodeIndex src,
                                            netsim::NodeIndex dst);
@@ -164,7 +165,7 @@ class BuiltFabric {
   /// work along the source's tree and walking only branches that lead
   /// to a requested destination.  Destinations equal to src, not
   /// routers, or currently unreachable are skipped.  Returns the number
-  /// of routes written.  This is the primitive fail_link repairs with.
+  /// of routes written.  This is the primitive failover repairs with.
   std::size_t compile_subtree(netsim::NodeIndex src,
                               std::span<const netsim::NodeIndex> dsts);
 
@@ -193,9 +194,9 @@ class BuiltFabric {
   /// zero path computation, zero CRT work in the window; pairs whose
   /// whole protection set died are parked in `pending` until
   /// repair_pending().  Without protection they are eagerly recompiled
-  /// subtree-scoped, exactly as fail_link always did.  Pairs the
-  /// failure disconnected land in `unroutable` and report unreachable
-  /// from route().
+  /// subtree-scoped.  Pairs the failure disconnected land in
+  /// `unroutable` and report unreachable from route() until a restore
+  /// reconnects them.
   FailoverReport apply_failure(netsim::NodeIndex a, netsim::NodeIndex b);
 
   /// Bring the duplex link a<->b back.  Dirty shortest-path trees are
@@ -203,7 +204,10 @@ class BuiltFabric {
   /// saved primary is fully alive again reverts to it -- a hitless
   /// swap back, listed in `swapped` -- including pairs a failure had
   /// severed entirely (their routes revive without a recompile).
-  /// Restoring a link that is not failed is a no-op (duplicate set).
+  /// Severed pairs the link reconnects otherwise are recompiled (and
+  /// re-protected) and listed in `repaired`, counted in
+  /// window_recompiles.  Restoring a link that is not failed is a no-op
+  /// (duplicate set).
   FailoverReport restore_link(netsim::NodeIndex a, netsim::NodeIndex b);
 
   /// Lazily recompile the pairs apply_failure parked in `pending`
@@ -216,13 +220,6 @@ class BuiltFabric {
     return pending_.size();
   }
 
-  /// Legacy eager entry point, kept for callers that want the
-  /// "everything handled before return" contract: apply_failure plus
-  /// an immediate repair_pending.  Returns every affected (src, dst)
-  /// pair, as before.
-  std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> fail_link(
-      netsim::NodeIndex a, netsim::NodeIndex b);
-
   /// Directed links currently excluded from path computation.
   [[nodiscard]] const std::vector<netsim::LinkIndex>& failed_links()
       const noexcept {
@@ -231,7 +228,7 @@ class BuiltFabric {
 
   /// Attach observability taps (borrowed, both optional; nullptr
   /// detaches).  With metrics set, every compile entry point (route,
-  /// compile_all_pairs, compile_subtree, fail_link) adds its
+  /// compile_all_pairs, compile_subtree, the link events) adds its
   /// CompileStats deltas to the compile.routes/.trees/.crt_steps
   /// counters and records its wall clock in a compile.<phase>_ns
   /// histogram; with trace set, the batch entry points emit one
@@ -293,6 +290,13 @@ class BuiltFabric {
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>
   evict_crossing_routes(netsim::LinkIndex fwd, netsim::LinkIndex rev);
 
+  /// Recompile `pairs` subtree-scoped per source: routed pairs land in
+  /// report.repaired (re-protected when armed), the rest in
+  /// report.unroutable and severed_.
+  void recompile_pairs(
+      std::span<const std::pair<netsim::NodeIndex, netsim::NodeIndex>> pairs,
+      FailoverReport& report);
+
   /// Record one compile phase's stats deltas and wall clock into the
   /// attached registry (no-op when detached).
   void note_compile(const char* phase, const CompileStats& before,
@@ -322,10 +326,13 @@ class BuiltFabric {
   std::unordered_map<RouteKey, CompiledRoute> saved_primary_;
   /// Pairs whose protection set died, awaiting repair_pending().
   std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>> pending_;
+  /// Pairs reported unroutable and not cached since (store_route
+  /// erases); restore_link recompiles the ones it reconnects.
+  std::set<RouteKey> severed_;
   std::unordered_map<netsim::NodeIndex, netsim::PathTree> trees_;
   std::unordered_map<RouteKey, CompiledRoute> routes_;
   /// Inverted index: directed link -> keys of cached routes over it,
-  /// so fail_link names the crossing routes in O(affected) instead of
+  /// so apply_failure names the crossing routes in O(affected) instead of
   /// scanning every cached path.  Vector-backed: appends are the hot
   /// path (every compiled hop), removals happen only on recompiles and
   /// failures and swap-erase a linear scan.

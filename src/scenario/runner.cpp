@@ -236,264 +236,166 @@ ScenarioReport ScenarioRunner::run(BuiltFabric& fabric,
     fabric.set_observability(options_.metrics, options_.trace);
   }
   const std::size_t total = stream.size();
-  // Pre-install the protection plane before any packet moves: failures
-  // then swap to backups in O(1) instead of recompiling.
-  if (options_.protection_k > 0) {
-    obs::TraceScope protect_scope(options_.trace, "replay.protect", "replay");
-    (void)fabric.enable_protection(options_.protection_k);
+  // Protection is armed and the whole schedule played against the
+  // control plane before any packet moves; the epochs below only apply
+  // the resulting route versions at their stream positions.
+  RouteTimeline timeline;
+  {
+    obs::TraceScope scope(options_.trace, "replay.failover", "replay");
+    timeline = build_route_timeline(fabric, stream, options_.failures,
+                                    options_.protection_k);
   }
   // Compile the flattened view before any thread is spawned: the lazy
   // compiled() cache is not thread-safe to build concurrently.
   const polka::CompiledFabric& fast = fabric.compiled();
 
-  // Epoch boundaries from the failure schedule.
-  std::vector<LinkFailure> failures = options_.failures;
-  std::ranges::stable_sort(failures, {}, &LinkFailure::at_fraction);
-  std::vector<std::uint8_t> alive(stream.pairs.size(), 1);
+  // Version refs index the timeline's pool once it has one; the stream
+  // takes it over so its refs stay valid after the run.
+  if (!timeline.seg_labels.empty()) {
+    stream.seg_labels = std::move(timeline.seg_labels);
+    stream.seg_waypoints = std::move(timeline.seg_waypoints);
+  }
   // Streams built before segmentation (or by hand) may lack refs; give
-  // every lane a default single-label ref so repair can upgrade it.
+  // every lane a default single-label ref so a version can upgrade it.
   if (stream.seg_refs.size() < stream.pairs.size()) {
     stream.seg_refs.resize(stream.pairs.size());
   }
+  std::vector<std::uint8_t> alive(stream.pairs.size(), 1);
   // Contiguous copy of the per-pair expectations (TrafficPair embeds
-  // them with a stride); refreshed whenever a failure rewrites one.
+  // them with a stride); refreshed whenever a version rewrites one.
   std::vector<polka::PacketResult> expected(stream.pairs.size());
   for (std::size_t i = 0; i < stream.pairs.size(); ++i) {
     expected[i] = stream.pairs[i].expected;
   }
 
-  // Streams intern each (src, dst) once; resolve lane by pair key once
-  // instead of per failure event (flap schedules fire dozens).
-  std::unordered_map<std::uint64_t, std::uint32_t> lane_of;
-  for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-    lane_of.emplace(
-        netsim::node_pair_key(stream.pairs[lane].src, stream.pairs[lane].dst),
-        lane);
-  }
-
   ScenarioReport report;
   report.fold_kernel = fast.kernel();
   std::size_t done = 0;
-  std::size_t next_failure = 0;
-
-  // Repoint every listed pair's lane at its current cached route (all
-  // cache hits: the failover event already stored them) and rewrite the
-  // unreplayed tail's labels in one pass.  `revive` resurrects lanes a
-  // previous failure severed (link restores bring their routes back);
-  // `touched` collects the updated lanes for the caller's loss window.
-  auto relabel =
-      [&](const std::vector<std::pair<netsim::NodeIndex, netsim::NodeIndex>>&
-              pairs,
-          bool revive, std::vector<std::uint32_t>* touched) {
-        std::unordered_map<std::uint32_t, polka::RouteLabel> new_label;
-        for (const auto& [src, dst] : pairs) {
-          const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end()) continue;
-          const std::uint32_t lane = it->second;
-          if (!alive[lane] && !revive) continue;
-          const CompiledRoute* route = fabric.route(src, dst);
-          if (route == nullptr || route->segments.labels.empty()) {
-            alive[lane] = 0;
-            continue;
-          }
-          alive[lane] = 1;
-          ++report.rerouted_pairs;
-          stream.pairs[lane].expected = route->expected;
-          expected[lane] = route->expected;
-          new_label.emplace(lane, route->segments.labels.front());
-          // A detour may gain or lose segments; pool the new list and
-          // repoint the lane (orphaning its old slice is harmless).
-          stream.seg_refs[lane] = append_segments(stream, route->segments);
-          if (touched != nullptr) touched->push_back(lane);
-        }
-        for (std::size_t i = done; i < total && !new_label.empty(); ++i) {
-          const auto it = new_label.find(stream.pair[i]);
-          if (it != new_label.end()) stream.labels[i] = it->second;
-        }
-      };
-
-  while (done < total || next_failure < failures.size()) {
-    std::size_t end = total;
-    if (next_failure < failures.size()) {
-      const double f = std::clamp(failures[next_failure].at_fraction, 0.0, 1.0);
-      end = std::min<std::size_t>(
-          total, static_cast<std::size_t>(std::llround(
-                     f * static_cast<double>(total))));
-      end = std::max(end, done);
+  auto replay_to = [&](std::size_t upto) {
+    if (upto <= done) return;
+    obs::TraceScope epoch_scope(options_.trace, "replay.epoch", "replay");
+    const std::size_t count = upto - done;
+    const ScenarioReport epoch = replay_shards(
+        fast,
+        std::span<const polka::RouteLabel>(stream.labels.data() + done, count),
+        std::span<const std::uint32_t>(stream.ingress.data() + done, count),
+        std::span<const std::uint32_t>(stream.pair.data() + done, count),
+        expected, alive,
+        SegmentTable{stream.seg_labels, stream.seg_waypoints, stream.seg_refs},
+        options_.threads, options_.batch_size, options_.max_hops,
+        options_.metrics);
+    // Sequential epoch partials: counters and wall clock both sum.
+    report.merge_from(epoch);
+    if (options_.metrics != nullptr) {
+      options_.metrics->counter("replay.epochs").add(1);
     }
-    if (end > done) {
-      const std::size_t count = end - done;
-      obs::TraceScope epoch_scope(options_.trace, "replay.epoch", "replay");
-      // Spans over the stream's pools are rebuilt per epoch: failure
-      // repair below may grow them (and reallocate).
-      const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                  stream.seg_refs};
-      const ScenarioReport epoch = replay_shards(
-          fast,
-          std::span<const polka::RouteLabel>(stream.labels.data() + done,
-                                             count),
-          std::span<const std::uint32_t>(stream.ingress.data() + done, count),
-          std::span<const std::uint32_t>(stream.pair.data() + done, count),
-          expected, alive, segments, options_.threads, options_.batch_size,
-          options_.max_hops, options_.metrics);
-      // Sequential epoch partials: counters and wall clock both sum.
-      report.merge_from(epoch);
-      if (options_.metrics != nullptr) {
-        options_.metrics->counter("replay.epochs").add(1);
+    done = upto;
+  };
+  // Stream position of event e (the end of the stream past the last).
+  auto position = [&](std::size_t e) {
+    if (e >= timeline.events.size()) return total;
+    const auto at = static_cast<std::size_t>(std::llround(
+        timeline.events[e].at_fraction * static_cast<double>(total)));
+    return std::clamp(at, done, total);
+  };
+
+  std::size_t next_version = 0;
+  for (std::size_t e = 0; e < timeline.events.size(); ++e) {
+    replay_to(position(e));
+    // Adopt the event's versions and rewrite the unreplayed tail's
+    // labels in one pass; severed lanes drop their remaining packets.
+    std::unordered_map<std::uint32_t, polka::RouteLabel> new_label;
+    std::vector<std::uint32_t> window_lanes;
+    for (; next_version < timeline.versions.size() &&
+           timeline.versions[next_version].event == e;
+         ++next_version) {
+      const RouteVersion& v = timeline.versions[next_version];
+      if (v.kind == Adoption::kSevered) {
+        alive[v.lane] = 0;
+        continue;
       }
-      done = end;
+      alive[v.lane] = 1;
+      expected[v.lane] = v.expected;
+      stream.pairs[v.lane].expected = v.expected;
+      stream.seg_refs[v.lane] = v.ref;
+      new_label.insert_or_assign(v.lane, v.label);
+      if (v.kind == Adoption::kRecompile) window_lanes.push_back(v.lane);
     }
-    if (next_failure < failures.size()) {
-      const LinkFailure& failure = failures[next_failure++];
-      obs::TraceScope repair_scope(
-          options_.trace, failure.restore ? "replay.restore" : "replay.repair",
-          "replay");
-      const auto t0 = std::chrono::steady_clock::now();
-      const FailoverReport ev =
-          failure.restore ? fabric.restore_link(failure.a, failure.b)
-                          : fabric.apply_failure(failure.a, failure.b);
-      // Graceful degradation: failing a dead link (or restoring a live
-      // one) is a no-op, not an error -- storms hit this constantly.
-      if (ev.duplicate) continue;
+    for (std::size_t i = done; i < total && !new_label.empty(); ++i) {
+      const auto it = new_label.find(stream.pair[i]);
+      if (it != new_label.end()) stream.labels[i] = it->second;
+    }
 
-      // Hitless swaps first (no loss window), then in-event repairs,
-      // then the lazy recompiler for pairs whose protection set died.
-      std::vector<std::uint32_t> window_lanes;
-      relabel(ev.swapped, failure.restore, nullptr);
-      relabel(ev.repaired, false, &window_lanes);
-      FailoverReport lazy;
-      if (fabric.pending_repair_count() > 0) {
-        lazy = fabric.repair_pending();
-        relabel(lazy.repaired, false, &window_lanes);
+    // Convergence-loss model: each *recompiled* lane loses its own next
+    // loss_window_per_recompile packets.  The tail is chopped at each
+    // lane's window end and replayed with the still-converging lanes
+    // masked dead, so drops thread through the normal shard accounting
+    // and stay per-pair exact.  Swapped lanes never enter this block:
+    // that asymmetry is what "hitless" means.
+    if (window_lanes.empty() || options_.loss_window_per_recompile == 0) {
+      continue;
+    }
+    // Windows never run past the next event.
+    const std::size_t bound = position(e + 1);
+    std::unordered_map<std::uint32_t, std::size_t> remaining;
+    for (const std::uint32_t lane : window_lanes) {
+      remaining.emplace(lane, options_.loss_window_per_recompile);
+      alive[lane] = 0;
+    }
+    // A lane's window ends after its last lost packet, or at the bound
+    // when it outlives the inter-event gap (or the stream).
+    std::vector<std::pair<std::size_t, std::uint32_t>> window_end;
+    for (std::size_t i = done; i < bound && !remaining.empty(); ++i) {
+      const auto it = remaining.find(stream.pair[i]);
+      if (it != remaining.end() && --it->second == 0) {
+        window_end.emplace_back(i + 1, it->first);
+        remaining.erase(it);
       }
-
-      // Severed pairs: mark dead (remaining packets drop) and charge
-      // their unreplayed tail to the failover loss account.
-      std::vector<std::uint32_t> severed;
-      for (const auto* list : {&ev.unroutable, &std::as_const(lazy).unroutable}) {
-        for (const auto& [src, dst] : *list) {
-          const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-          if (it == lane_of.end() || !alive[it->second]) continue;
-          alive[it->second] = 0;
-          severed.push_back(it->second);
-          ++report.unroutable_pairs;
-        }
-      }
-      std::size_t lost = 0;
-      if (!severed.empty()) {
-        std::vector<char> is_severed(stream.pairs.size(), 0);
-        for (const std::uint32_t lane : severed) is_severed[lane] = 1;
-        for (std::size_t i = done; i < total; ++i) {
-          if (is_severed[stream.pair[i]] != 0) ++lost;
-        }
-      }
-      report.backup_swapped_pairs += ev.swapped.size();
-      report.window_recompiles += ev.window_recompiles;
-      report.lazy_repaired_pairs += lazy.repaired.size();
-
-      // Convergence-loss model: each *recompiled* pair loses its own
-      // next loss_window_per_recompile packets.  The tail is chopped at
-      // each lane's window end and replayed with the still-converging
-      // lanes masked dead, so drops thread through the normal shard
-      // accounting and stay per-pair exact.  Swapped pairs never enter
-      // this block: that asymmetry is what "hitless" means.
-      if (!window_lanes.empty() && options_.loss_window_per_recompile > 0 &&
-          done < total) {
-        // Windows never run past the next scheduled event.
-        std::size_t bound = total;
-        if (next_failure < failures.size()) {
-          const double f =
-              std::clamp(failures[next_failure].at_fraction, 0.0, 1.0);
-          const auto boundary = static_cast<std::size_t>(
-              std::llround(f * static_cast<double>(total)));
-          bound = std::clamp(boundary, done, total);
-        }
-        std::unordered_map<std::uint32_t, std::size_t> quota;
-        for (const std::uint32_t lane : window_lanes) {
-          if (alive[lane] != 0) {
-            quota.emplace(lane, options_.loss_window_per_recompile);
-          }
-        }
-        // One forward walk finds each lane's window end (the stream
-        // position of its last lost packet) and the loss count.
-        std::vector<std::pair<std::size_t, std::uint32_t>> chops;
-        std::vector<std::uint32_t> unfinished;
-        {
-          auto remaining = quota;
-          for (std::size_t i = done; i < bound && !remaining.empty(); ++i) {
-            const auto it = remaining.find(stream.pair[i]);
-            if (it == remaining.end()) continue;
-            ++lost;
-            if (--it->second == 0) {
-              chops.emplace_back(i + 1, it->first);
-              remaining.erase(it);
-            }
-          }
-          for (const auto& [lane, left] : remaining) {
-            unfinished.push_back(lane);
-          }
-        }
-        for (const auto& [lane, left] : quota) alive[lane] = 0;
-        auto replay_to = [&](std::size_t upto) {
-          if (upto <= done) return;
-          const SegmentTable segments{stream.seg_labels, stream.seg_waypoints,
-                                      stream.seg_refs};
-          const std::size_t count = upto - done;
-          const ScenarioReport window = replay_shards(
-              fast,
-              std::span<const polka::RouteLabel>(stream.labels.data() + done,
-                                                 count),
-              std::span<const std::uint32_t>(stream.ingress.data() + done,
-                                             count),
-              std::span<const std::uint32_t>(stream.pair.data() + done, count),
-              expected, alive, segments, options_.threads,
-              options_.batch_size, options_.max_hops, options_.metrics);
-          report.merge_from(window);
-          done = upto;
-        };
-        for (const auto& [chop_end, lane] : chops) {
-          replay_to(chop_end);
-          alive[lane] = 1;  // this lane converged; it forwards again
-        }
-        if (!unfinished.empty()) {
-          // Lanes whose window outlives the inter-event gap (or the
-          // stream) stay masked to the bound, then resume.
-          replay_to(bound);
-          for (const std::uint32_t lane : unfinished) alive[lane] = 1;
-        }
-      }
-      report.failover_packets_lost += lost;
-
-      if (options_.metrics != nullptr) {
-        obs::MetricRegistry& reg = *options_.metrics;
-        reg.counter(failure.restore ? "replay.failover.restores"
-                                    : "replay.failover.failures")
-            .add(1);
-        reg.counter("replay.failover.swaps").add(ev.swapped.size());
-        reg.counter("replay.failover.window_recompiles")
-            .add(ev.window_recompiles);
-        reg.counter("replay.failover.lazy_repairs").add(lazy.repaired.size());
-        reg.counter("replay.failover.packets_lost").add(lost);
-        reg.counter("replay.failover.unroutable_pairs").add(severed.size());
-        // Backup-path stretch in percent: deterministic content (a
-        // pure path-length ratio), unlike the wall-clock histogram
-        // below whose _ns suffix keeps it out of snapshot diffing.
-        for (const double stretch : ev.swap_stretch) {
-          reg.histogram("replay.failover.stretch_pct")
-              .record(static_cast<std::uint64_t>(
-                  std::llround(stretch * 100.0)));
-        }
-        reg.histogram("replay.failover.switchover_ns")
-            .record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-      }
+    }
+    for (const auto& [lane, left] : remaining) {
+      window_end.emplace_back(bound, lane);
+    }
+    for (const auto& [end, lane] : window_end) {
+      replay_to(end);
+      alive[lane] = 1;  // this lane converged; it forwards again
     }
   }
+  replay_to(total);
+
+  // Every replay drop is a failover loss: a severed lane's packets
+  // until a version revives it, or a recompiled lane's window.
+  report.failover_packets_lost = report.dropped_packets;
+  report.rerouted_pairs = timeline.totals.rerouted_pairs;
+  report.backup_swapped_pairs = timeline.totals.backup_swapped_pairs;
+  report.lazy_repaired_pairs = timeline.totals.lazy_repaired_pairs;
+  report.unroutable_pairs = timeline.totals.unroutable_pairs;
+  report.window_recompiles = timeline.totals.window_recompiles;
   if (options_.metrics != nullptr) {
-    options_.metrics->counter("replay.rerouted_pairs")
-        .add(report.rerouted_pairs);
+    obs::MetricRegistry& reg = *options_.metrics;
+    for (const LinkFailure& event : timeline.events) {
+      reg.counter(event.restore ? "replay.failover.restores"
+                                : "replay.failover.failures")
+          .add(1);
+    }
+    if (!timeline.events.empty()) {
+      reg.counter("replay.failover.swaps")
+          .add(timeline.totals.backup_swapped_pairs);
+      reg.counter("replay.failover.window_recompiles")
+          .add(timeline.totals.window_recompiles);
+      reg.counter("replay.failover.lazy_repairs")
+          .add(timeline.totals.lazy_repaired_pairs);
+      reg.counter("replay.failover.packets_lost")
+          .add(report.failover_packets_lost);
+      reg.counter("replay.failover.unroutable_pairs")
+          .add(timeline.totals.unroutable_pairs);
+    }
+    // Backup-path stretch in percent: deterministic content (a pure
+    // path-length ratio).
+    for (const double stretch : timeline.swap_stretch) {
+      reg.histogram("replay.failover.stretch_pct")
+          .record(static_cast<std::uint64_t>(std::llround(stretch * 100.0)));
+    }
+    reg.counter("replay.rerouted_pairs").add(report.rerouted_pairs);
   }
   return report;
 }

@@ -6,13 +6,14 @@
 // its slice with private scratch buffers and counters, which are merged
 // after join.  The compiled fabric is immutable during a replay, so
 // workers share it without synchronization.  An optional link-failure
-// schedule splits the stream into epochs: at each failure point the
-// affected routes are recompiled against the degraded topology and the
-// not-yet-replayed packets of those pairs get their new labels --
-// including fresh segment lists when the detour outgrows one 64-bit
-// label (only pairs that lose connectivity are dropped and counted).
-// Packets a hop cap kills mid-flight are reported as ttl_expired, never
-// as deliveries.
+// schedule is played once, up front, into a RouteTimeline
+// (scenario/timeline.hpp, shared with the simulator); its events split
+// the stream into epochs, and at each event boundary the lanes' new
+// route versions take effect: the not-yet-replayed packets of swapped
+// or recompiled lanes get their new labels (including fresh segment
+// lists when a detour outgrows one 64-bit label) and severed lanes drop
+// until a later version revives them.  Packets a hop cap kills
+// mid-flight are reported as ttl_expired, never as deliveries.
 
 #include <cstdint>
 #include <span>
@@ -21,6 +22,7 @@
 #include "polka/fastpath.hpp"
 #include "polka/label.hpp"
 #include "scenario/fabric_builder.hpp"
+#include "scenario/timeline.hpp"
 #include "scenario/traffic.hpp"
 
 namespace hp::obs {
@@ -29,15 +31,6 @@ class TraceSink;
 }  // namespace hp::obs
 
 namespace hp::scenario {
-
-/// One scheduled duplex-link event: a failure, or -- when `restore` is
-/// set -- the link coming back up (flap schedules alternate the two).
-struct LinkFailure {
-  double at_fraction = 0.5;   ///< stream position in [0, 1)
-  netsim::NodeIndex a = 0;    ///< topology endpoints of the duplex link
-  netsim::NodeIndex b = 0;
-  bool restore = false;       ///< true: the link comes back up
-};
 
 struct RunnerOptions {
   unsigned threads = 1;          ///< worker count (0 behaves as 1)
@@ -57,8 +50,9 @@ struct RunnerOptions {
   /// Optional observability taps (borrowed).  Workers record replay.*
   /// counters at flush/slice granularity -- never per packet -- so the
   /// enabled hot path stays within the <2% pps budget the overhead
-  /// bench pins; the trace sink gets one replay.epoch / replay.repair
-  /// event per phase.
+  /// bench pins; the trace sink gets one replay.failover event for the
+  /// timeline and one replay.epoch event per replayed slice of the
+  /// stream.
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
 };
@@ -93,7 +87,8 @@ struct ScenarioReport {
   /// their routes encode.  Both zero on fully single-label runs.
   std::size_t segmented_packets = 0;
   std::size_t segment_swaps = 0;
-  /// Failover accounting (all zero on failure-free runs):
+  /// Failover accounting (all zero on failure-free runs).  The *_pairs
+  /// fields count stream lanes (RouteTimeline's FailoverTotals):
   std::size_t backup_swapped_pairs = 0;   ///< pairs moved via backup swap
   std::size_t failover_packets_lost = 0;  ///< loss-window + severed drops
   std::size_t unroutable_pairs = 0;       ///< pairs severed, no path left
@@ -166,22 +161,10 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
                              std::size_t batch_size, std::size_t max_hops = 64,
                              obs::MetricRegistry* metrics = nullptr);
 
-/// Single-label convenience overload (no segment table).
-inline ScenarioReport replay_shards(
-    const polka::CompiledFabric& fabric,
-    std::span<const polka::RouteLabel> labels,
-    std::span<const std::uint32_t> ingress,
-    std::span<const std::uint32_t> index,
-    std::span<const polka::PacketResult> expected,
-    std::span<const std::uint8_t> alive, unsigned threads,
-    std::size_t batch_size, std::size_t max_hops = 64,
-    obs::MetricRegistry* metrics = nullptr) {
-  return replay_shards(fabric, labels, ingress, index, expected, alive,
-                       SegmentTable{}, threads, batch_size, max_hops, metrics);
-}
-
 /// Replays a stream over its fabric, applying the failure schedule.
-/// The stream is mutated in place when failures rewrite labels.
+/// The stream is mutated in place when failures rewrite labels: the
+/// rewritten tail labels, each lane's last expectation and segment ref,
+/// and the segment pool those refs index.
 class ScenarioRunner {
  public:
   explicit ScenarioRunner(RunnerOptions options = {})

@@ -47,7 +47,8 @@ struct PairTable {
     stream.pairs.push_back(TrafficPair{src, dst, route->expected});
     // Multi-segment pairs pool their labels/waypoints; every packet's
     // own label is the first segment's either way.
-    stream.seg_refs.push_back(append_segments(stream, route->segments));
+    stream.seg_refs.push_back(append_segments(
+        stream.seg_labels, stream.seg_waypoints, route->segments));
     label.push_back(route->segments.labels.front());
     ingress.push_back(route->ingress);
     path.push_back(route->path);
@@ -116,18 +117,17 @@ void generate_elephant_mice(PacketStream& stream, PairTable& table,
 
 }  // namespace
 
-polka::SegmentRef append_segments(PacketStream& stream,
+polka::SegmentRef append_segments(std::vector<polka::RouteLabel>& labels,
+                                  std::vector<std::uint32_t>& waypoints,
                                   const polka::SegmentedRoute& route) {
   polka::SegmentRef ref;
   if (route.single_label()) return ref;
-  ref.first_label = static_cast<std::uint32_t>(stream.seg_labels.size());
-  ref.first_waypoint =
-      static_cast<std::uint32_t>(stream.seg_waypoints.size());
+  ref.first_label = static_cast<std::uint32_t>(labels.size());
+  ref.first_waypoint = static_cast<std::uint32_t>(waypoints.size());
   ref.label_count = static_cast<std::uint32_t>(route.labels.size());
-  stream.seg_labels.insert(stream.seg_labels.end(), route.labels.begin(),
-                           route.labels.end());
-  stream.seg_waypoints.insert(stream.seg_waypoints.end(),
-                              route.waypoints.begin(), route.waypoints.end());
+  labels.insert(labels.end(), route.labels.begin(), route.labels.end());
+  waypoints.insert(waypoints.end(), route.waypoints.begin(),
+                   route.waypoints.end());
   return ref;
 }
 

@@ -73,12 +73,14 @@ struct PacketStream {
   [[nodiscard]] std::size_t size() const noexcept { return labels.size(); }
 };
 
-/// Pool a route's segment list into the stream's pooled arrays and
+/// Pool a route's segment list into a pair of pooled arrays (a
+/// stream's seg_labels/seg_waypoints, or a RouteTimeline's copy) and
 /// return the ref describing the slice.  A single-label route pools
 /// nothing and returns the default (label_count == 1) ref.  Shared by
-/// stream generation and the runner's failure repair so the ref layout
-/// has exactly one author.
-polka::SegmentRef append_segments(PacketStream& stream,
+/// stream generation and the failover timeline so the ref layout has
+/// exactly one author.
+polka::SegmentRef append_segments(std::vector<polka::RouteLabel>& labels,
+                                  std::vector<std::uint32_t>& waypoints,
                                   const polka::SegmentedRoute& route);
 
 /// Generate a packet stream over the fabric's routers.  Compiles every

@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry_bridge.hpp"
 #include "obs/trace.hpp"
+#include "scenario/timeline.hpp"
 
 namespace hp::sim {
 
@@ -161,125 +162,65 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   }
 
   // --- play the failure schedule against the control plane ------------
-  // Each event takes the physical wires down (or up) at its tick and
-  // asks the fabric for the rerouted labels; a lane adopts its new
-  // route one control-plane latency later -- switchover_latency_ns for
-  // a hitless backup swap, repair_latency_ns for a recompile.  Packets
-  // the source emits before the adoption tick still carry the dead
-  // route and die at the wire: that gap, times the offered rate, IS the
-  // packets-lost-per-failure the reports compare.
-  struct RouteVersion {
-    Tick at = 0;  ///< adoption tick: injections at/after use this route
-    polka::RouteLabel label{};
-    polka::SegmentRef ref{};
-    polka::PacketResult expected{};
+  // One RouteTimeline, shared with replay, says what each lane adopts
+  // at each link event.  Events take the physical wires down (or up) at
+  // their tick; a lane adopts its new route one control-plane latency
+  // later -- switchover_latency_ns for a hitless backup swap,
+  // repair_latency_ns for a recompile.  Packets the source emits before
+  // the adoption tick still carry the dead route and die at the wire:
+  // that gap, times the offered rate, IS the packets-lost-per-failure
+  // the reports compare.  A severed lane adopts nothing: its last route
+  // dies at the wire until a later version revives it.
+  const scenario::RouteTimeline timeline = scenario::build_route_timeline(
+      fabric, stream, options_.failures, options_.protection_k);
+  auto tick_of = [&](double at_fraction) {
+    return static_cast<Tick>(
+        std::llround(at_fraction * static_cast<double>(last_inject)));
   };
-  std::unordered_map<std::uint32_t, std::vector<RouteVersion>> versions;
-  // Failure rewrites pool fresh segment lists on private copies -- the
-  // caller's stream is never mutated (contract of run()).
-  std::vector<polka::RouteLabel> pool_labels(stream.seg_labels.begin(),
-                                             stream.seg_labels.end());
-  std::vector<std::uint32_t> pool_waypoints(stream.seg_waypoints.begin(),
-                                            stream.seg_waypoints.end());
-  std::size_t swapped_pairs = 0;
-  std::size_t lazy_repairs = 0;
-  std::size_t unroutable_pairs = 0;
-  std::size_t window_recompiles = 0;
-  std::size_t rerouted_pairs = 0;
-  if (!options_.failures.empty() || options_.protection_k > 0) {
-    if (options_.protection_k > 0) {
-      (void)fabric.enable_protection(options_.protection_k);
-    }
-    std::unordered_map<std::uint64_t, std::uint32_t> lane_of;
-    for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
-      lane_of.emplace(netsim::node_pair_key(stream.pairs[lane].src,
-                                            stream.pairs[lane].dst),
-                      lane);
-    }
-    auto append_ref =
-        [&](const polka::SegmentedRoute& route) -> polka::SegmentRef {
-      polka::SegmentRef ref;
-      if (route.single_label()) return ref;
-      ref.first_label = static_cast<std::uint32_t>(pool_labels.size());
-      ref.first_waypoint = static_cast<std::uint32_t>(pool_waypoints.size());
-      ref.label_count = static_cast<std::uint32_t>(route.labels.size());
-      pool_labels.insert(pool_labels.end(), route.labels.begin(),
-                         route.labels.end());
-      pool_waypoints.insert(pool_waypoints.end(), route.waypoints.begin(),
-                            route.waypoints.end());
-      return ref;
-    };
-    auto adopt =
-        [&](const std::vector<std::pair<netsim::NodeIndex,
-                                        netsim::NodeIndex>>& pairs,
-            Tick effective) {
-          std::size_t matched = 0;
-          for (const auto& [src, dst] : pairs) {
-            const auto it = lane_of.find(netsim::node_pair_key(src, dst));
-            if (it == lane_of.end()) continue;
-            const scenario::CompiledRoute* route = fabric.route(src, dst);
-            if (route == nullptr || route->segments.labels.empty()) continue;
-            RouteVersion v;
-            v.at = effective;
-            v.label = route->segments.labels.front();
-            v.ref = append_ref(route->segments);
-            v.expected = route->expected;
-            versions[it->second].push_back(v);
-            ++matched;
-            ++rerouted_pairs;
-          }
-          return matched;
-        };
-    std::vector<scenario::LinkFailure> failures = options_.failures;
-    std::ranges::stable_sort(failures, {},
-                             &scenario::LinkFailure::at_fraction);
-    for (const scenario::LinkFailure& failure : failures) {
-      const double f = std::clamp(failure.at_fraction, 0.0, 1.0);
-      const Tick at = static_cast<Tick>(
-          std::llround(f * static_cast<double>(last_inject)));
-      const scenario::FailoverReport ev =
-          failure.restore ? fabric.restore_link(failure.a, failure.b)
-                          : fabric.apply_failure(failure.a, failure.b);
-      if (ev.duplicate) continue;
-      for (const std::uint64_t key :
-           {netsim::node_pair_key(failure.a, failure.b),
-            netsim::node_pair_key(failure.b, failure.a)}) {
-        if (const auto it = channel_of.find(key); it != channel_of.end()) {
-          sim.schedule_link_state(at, it->second, failure.restore);
-        }
+  for (const scenario::LinkFailure& event : timeline.events) {
+    for (const std::uint64_t key : {netsim::node_pair_key(event.a, event.b),
+                                    netsim::node_pair_key(event.b, event.a)}) {
+      if (const auto it = channel_of.find(key); it != channel_of.end()) {
+        sim.schedule_link_state(tick_of(event.at_fraction), it->second,
+                                event.restore);
       }
-      swapped_pairs += adopt(ev.swapped, at + options_.switchover_latency_ns);
-      (void)adopt(ev.repaired, at + options_.repair_latency_ns);
-      window_recompiles += ev.window_recompiles;
-      scenario::FailoverReport lazy;
-      if (fabric.pending_repair_count() > 0) {
-        lazy = fabric.repair_pending();
-        lazy_repairs += adopt(lazy.repaired, at + options_.repair_latency_ns);
-      }
-      for (const auto* list :
-           {&ev.unroutable, &std::as_const(lazy).unroutable}) {
-        for (const auto& [src, dst] : *list) {
-          if (lane_of.contains(netsim::node_pair_key(src, dst))) {
-            ++unroutable_pairs;
-          }
-        }
-      }
-    }
-    // Events land in tick order but the two control-plane latencies can
-    // interleave adoptions; keep each lane's timeline sorted.
-    for (auto& [lane, timeline] : versions) {
-      std::ranges::stable_sort(timeline, {}, &RouteVersion::at);
     }
   }
-  sim.set_segment_pool(pool_labels, pool_waypoints);
+  // Each lane's adopted routes by adoption tick (the two latencies can
+  // interleave adoptions of successive events); no lists at all, and
+  // no allocation, when nothing was adopted.
+  std::vector<std::vector<RouteEpoch>> adopted(
+      timeline.versions.empty() ? 0 : stream.pairs.size());
+  for (const scenario::RouteVersion& v : timeline.versions) {
+    if (v.kind == scenario::Adoption::kSevered) continue;
+    const Tick latency = v.kind == scenario::Adoption::kSwap
+                             ? options_.switchover_latency_ns
+                             : options_.repair_latency_ns;
+    adopted[v.lane].push_back(
+        {tick_of(v.at_fraction) + latency, v.label, v.ref, v.expected});
+  }
+  for (auto& lane : adopted) {
+    std::ranges::stable_sort(lane, {}, &RouteEpoch::from);
+  }
+  // The route a lane's packet carries before any adoption.
+  auto base_epoch = [&](std::uint32_t lane, std::size_t packet) {
+    return RouteEpoch{0, stream.labels[packet],
+                      lane < stream.seg_refs.size() ? stream.seg_refs[lane]
+                                                    : polka::SegmentRef{},
+                      stream.pairs[lane].expected};
+  };
+  sim.set_segment_pool(
+      timeline.seg_labels.empty() ? stream.seg_labels : timeline.seg_labels,
+      timeline.seg_labels.empty() ? stream.seg_waypoints
+                                  : timeline.seg_waypoints);
 
   std::optional<Transport> transport;
   if (options_.transport.enabled) {
     // --- closed loop: hand the flows to the transport ------------------
     // One transport lane per traffic pair, carrying the pair's route
-    // timeline (base route at tick 0, then every adopted failover
-    // version); sends resolve their epoch at the send tick, so a
-    // retransmit issued after adoption carries the repaired label.
+    // timeline (base route at tick 0, then every adopted version);
+    // sends resolve their epoch at the send tick, so a retransmit
+    // issued after adoption carries the repaired label.
     transport.emplace(sim, options_.transport, options_.packet_bytes,
                       registry);
     constexpr auto kNoLane = std::numeric_limits<std::uint32_t>::max();
@@ -292,18 +233,10 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     std::vector<std::uint32_t> tp_lane(stream.pairs.size(), kNoLane);
     for (std::uint32_t lane = 0; lane < stream.pairs.size(); ++lane) {
       if (base_label_at[lane] == kNoLane) continue;  // pair without packets
-      std::vector<RouteEpoch> epochs;
-      RouteEpoch base;
-      base.from = 0;
-      base.label = stream.labels[base_label_at[lane]];
-      base.ref = lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                               : polka::SegmentRef{};
-      base.expected = stream.pairs[lane].expected;
-      epochs.push_back(base);
-      if (const auto it = versions.find(lane); it != versions.end()) {
-        for (const RouteVersion& v : it->second) {
-          epochs.push_back({v.at, v.label, v.ref, v.expected});
-        }
+      std::vector<RouteEpoch> epochs{base_epoch(lane, base_label_at[lane])};
+      if (!adopted.empty()) {
+        epochs.insert(epochs.end(), adopted[lane].begin(),
+                      adopted[lane].end());
       }
       tp_lane[lane] = transport->add_lane(std::move(epochs));
     }
@@ -319,45 +252,36 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     // route's hop count changes the delivery expectation, and a flow's
     // expectation is fixed at registration.  Forced flows keep the
     // lane's cadence, so the packet timing stays exactly pass 1's.
-    auto version_of = [&](std::uint32_t lane,
-                          Tick at) -> const RouteVersion* {
-      const auto it = versions.find(lane);
-      if (it == versions.end()) return nullptr;
-      const RouteVersion* best = nullptr;
-      for (const RouteVersion& v : it->second) {  // timelines are tiny
-        if (v.at <= at) best = &v;
+    auto version_of = [&](std::uint32_t lane, Tick at) -> const RouteEpoch* {
+      const RouteEpoch* best = nullptr;
+      if (adopted.empty()) return best;
+      for (const RouteEpoch& epoch : adopted[lane]) {  // tiny per lane
+        if (epoch.from <= at) best = &epoch;
       }
       return best;
     };
     struct OpenFlow {
       std::uint32_t handle = 0;
       std::size_t injected = 0;
-      const RouteVersion* version = nullptr;
+      const RouteEpoch* version = nullptr;
     };
     std::unordered_map<std::uint32_t, OpenFlow> open;  // lane -> open flow
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const std::uint32_t lane = stream.pair[i];
       const Tick at = inject_at[i];
-      const RouteVersion* ver = version_of(lane, at);
+      const RouteEpoch* ver = version_of(lane, at);
+      const RouteEpoch epoch = ver != nullptr ? *ver : base_epoch(lane, i);
       auto it = open.find(lane);
       if (it == open.end() || it->second.injected >= options_.flow_packets ||
           it->second.version != ver) {
         OpenFlow flow;
-        flow.handle = sim.add_flow(
-            ver != nullptr ? ver->expected : stream.pairs[lane].expected);
+        flow.handle = sim.add_flow(epoch.expected);
         flow.version = ver;
         it = open.insert_or_assign(lane, flow).first;
       }
-      OpenFlow& flow = it->second;
-      const polka::RouteLabel label =
-          ver != nullptr ? ver->label : stream.labels[i];
-      const polka::SegmentRef ref =
-          ver != nullptr
-              ? ver->ref
-              : (lane < stream.seg_refs.size() ? stream.seg_refs[lane]
-                                               : polka::SegmentRef{});
-      sim.inject(at, label, ref, stream.ingress[i], flow.handle);
-      ++flow.injected;
+      sim.inject(at, epoch.label, epoch.ref, stream.ingress[i],
+                 it->second.handle);
+      ++it->second.injected;
     }
   }
 
@@ -376,12 +300,13 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
   report.forwarding.ttl_expired = result.counters.ttl_expired;
   report.forwarding.segmented_packets = result.counters.segmented_packets;
   report.forwarding.segment_swaps = result.counters.segment_swaps;
-  report.forwarding.rerouted_pairs = rerouted_pairs;
-  report.forwarding.backup_swapped_pairs = swapped_pairs;
+  const scenario::FailoverTotals& failover = timeline.totals;
+  report.forwarding.rerouted_pairs = failover.rerouted_pairs;
+  report.forwarding.backup_swapped_pairs = failover.backup_swapped_pairs;
   report.forwarding.failover_packets_lost = result.counters.failover_lost;
-  report.forwarding.unroutable_pairs = unroutable_pairs;
-  report.forwarding.lazy_repaired_pairs = lazy_repairs;
-  report.forwarding.window_recompiles = window_recompiles;
+  report.forwarding.unroutable_pairs = failover.unroutable_pairs;
+  report.forwarding.lazy_repaired_pairs = failover.lazy_repaired_pairs;
+  report.forwarding.window_recompiles = failover.window_recompiles;
   report.duration_ns = result.counters.end_ns;
   // Simulated seconds (deterministic), not wall clock: see SimReport.
   report.forwarding.seconds = static_cast<double>(report.duration_ns) * 1e-9;
@@ -415,11 +340,14 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
     if (!options_.failures.empty() || options_.protection_k > 0) {
       // All simulated-schedule derived, so they snapshot identically
       // across runs and thread counts like every other sim.* metric.
-      registry->counter("sim.failover.swaps").add(swapped_pairs);
-      registry->counter("sim.failover.lazy_repairs").add(lazy_repairs);
-      registry->counter("sim.failover.unroutable_pairs").add(unroutable_pairs);
+      registry->counter("sim.failover.swaps")
+          .add(failover.backup_swapped_pairs);
+      registry->counter("sim.failover.lazy_repairs")
+          .add(failover.lazy_repaired_pairs);
+      registry->counter("sim.failover.unroutable_pairs")
+          .add(failover.unroutable_pairs);
       registry->counter("sim.failover.window_recompiles")
-          .add(window_recompiles);
+          .add(failover.window_recompiles);
     }
   }
   double util_sum = 0.0;

@@ -71,7 +71,10 @@ struct SimOptions {
   /// swap serves the pair, `repair_latency_ns` later when it had to
   /// recompile -- packets a source emits inside that window still carry
   /// the dead route and die at the wire, which is exactly the loss gap
-  /// hitless protection shrinks.
+  /// hitless protection shrinks.  What each lane adopts comes from the
+  /// scenario::RouteTimeline replay uses too, so both runners report
+  /// the same failover totals; a severed lane keeps its last route
+  /// (dying at the wire) until a later version revives it.
   std::vector<scenario::LinkFailure> failures;
   /// Closed-loop transport (transport.enabled): instead of replaying
   /// the open-loop schedule verbatim, each flow runs the Transport
@@ -116,8 +119,8 @@ class SimRunner {
   }
 
   /// Simulate the stream on the fabric's topology links.  The stream
-  /// itself is read-only; failure schedules rewrite labels on private
-  /// copies of the segment pools, never on the caller's stream.
+  /// itself is read-only; failover routes pool their segments on the
+  /// RouteTimeline's own copy, never on the caller's stream.
   /// \return the merged SimReport; `forwarding.fold_kernel` names the
   ///   kernel that made every per-hop decision.
   [[nodiscard]] SimReport run(scenario::BuiltFabric& fabric,

@@ -177,8 +177,8 @@ TEST(AllocGuard, ReplayAllocationsIndependentOfPacketCount) {
     const std::vector<PacketResult> expected{want};
     const std::uint64_t before = alloc_count();
     const scenario::ScenarioReport report = scenario::replay_shards(
-        fast, labels, ingress, index, expected, /*alive=*/{}, /*threads=*/1,
-        /*batch_size=*/256);
+        fast, labels, ingress, index, expected, /*alive=*/{},
+        scenario::SegmentTable{}, /*threads=*/1, /*batch_size=*/256);
     const std::uint64_t delta = alloc_count() - before;
     EXPECT_EQ(report.packets, packets);
     EXPECT_EQ(report.wrong_egress, 0u);

@@ -10,11 +10,14 @@
 //  * severing the fabric reports unroutable pairs explicitly instead of
 //    misdelivering;
 //  * restore reverts to the saved primary, again without compiling;
+//  * a restore that reconnects severed pairs gives them live routes
+//    again, and the replay forwards their packets from then on;
 //  * reports are deterministic across thread counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -100,7 +103,8 @@ TEST(FailoverProtection, BackupMatchesRecomputeOnEveryFamily) {
         protected_fabric.apply_failure(schedule[0].a, schedule[0].b);
     ASSERT_FALSE(event.affected.empty()) << name;
     (void)protected_fabric.repair_pending();
-    (void)eager_fabric.fail_link(schedule[0].a, schedule[0].b);
+    (void)eager_fabric.apply_failure(schedule[0].a, schedule[0].b);
+    (void)eager_fabric.repair_pending();
 
     const auto& routers = protected_fabric.routers();
     for (const NodeIndex src : routers) {
@@ -198,6 +202,107 @@ TEST(FailoverProtection, SeveredPairsAreExplicitlyUnroutable) {
   EXPECT_NE(fabric.route(r("r1"), r("r2")), nullptr);
   EXPECT_NE(fabric.route(r("r4"), r("r5")), nullptr);
   EXPECT_EQ(fabric.route(r("r1"), r("r4")), nullptr);
+}
+
+TEST(FailoverProtection, RestoreReconnectsSeveredPairs) {
+  // Cut an 8-ring into {r1..r4} and {r5..r0}, then restore r4<->r5:
+  // the ring becomes a line and every pair is connected again.  Each
+  // pair must then have a cached route (route() compiles nothing) that
+  // avoids the dead link and reaches its destination's egress -- with
+  // and without protection.
+  for (const unsigned k : {0U, 1U}) {
+    SCOPED_TRACE("protection_k=" + std::to_string(k));
+    BuiltFabric fabric(make_ring(8));
+    fabric.compile_all_pairs();
+    if (k > 0) (void)fabric.enable_protection(k);
+    const auto r = [&](const char* name) {
+      return fabric.topology().index_of(name);
+    };
+    std::size_t severed = 0;
+    for (const auto& [a, b] : {std::pair{r("r0"), r("r1")},
+                               std::pair{r("r4"), r("r5")}}) {
+      severed += fabric.apply_failure(a, b).unroutable.size();
+      severed += fabric.repair_pending().unroutable.size();
+    }
+    ASSERT_EQ(severed, 2U * 4U * 4U);  // every cross-island pair, both ways
+    EXPECT_EQ(fabric.route(r("r1"), r("r5")), nullptr);
+
+    const FailoverReport restore = fabric.restore_link(r("r4"), r("r5"));
+    EXPECT_FALSE(restore.repaired.empty());
+    EXPECT_EQ(restore.window_recompiles, restore.repaired.size());
+    EXPECT_EQ(restore.swapped.size() + restore.repaired.size(),
+              restore.affected.size());
+
+    const polka::CompiledFabric& fast = fabric.compiled();
+    const std::size_t compiled = fabric.compile_stats().routes_compiled;
+    for (const NodeIndex src : fabric.routers()) {
+      for (const NodeIndex dst : fabric.routers()) {
+        if (src == dst) continue;
+        const CompiledRoute* route = fabric.route(src, dst);
+        ASSERT_NE(route, nullptr) << src << "->" << dst;
+        for (const netsim::LinkIndex l : route->path) {
+          EXPECT_EQ(std::ranges::count(fabric.failed_links(), l), 0)
+              << src << "->" << dst << " rides a dead link";
+        }
+        const polka::PacketResult walk = fast.forward_segmented(
+            route->segments.labels, route->segments.waypoints,
+            route->ingress);
+        EXPECT_FALSE(walk.ttl_expired);
+        EXPECT_EQ(walk.egress_node, fabric.fabric_index(dst));
+        EXPECT_EQ(walk.egress_port, fabric.egress_port(walk.egress_node));
+      }
+    }
+    EXPECT_EQ(fabric.compile_stats().routes_compiled, compiled)
+        << "a connected pair had no cached route after the restore";
+  }
+}
+
+TEST(FailoverRunner, RevivedLanesForwardAfterTheRestore) {
+  // The same cut-and-restore as a replay schedule: a cross-island lane
+  // drops only the packets between the second cut and the restore;
+  // from the restore on its packets are forwarded again.
+  for (const unsigned k : {0U, 1U}) {
+    SCOPED_TRACE("protection_k=" + std::to_string(k));
+    BuiltFabric fabric(make_ring(8));
+    TrafficParams traffic;
+    traffic.pattern = TrafficPattern::kUniformRandom;
+    traffic.packets = 8192;
+    traffic.seed = 5;
+    PacketStream stream = generate_traffic(fabric, traffic);
+    const auto r = [&](const char* name) {
+      return fabric.topology().index_of(name);
+    };
+    RunnerOptions options;
+    options.threads = 2;
+    options.protection_k = k;
+    options.failures = {LinkFailure{0.2, r("r0"), r("r1")},
+                        LinkFailure{0.3, r("r4"), r("r5")},
+                        LinkFailure{0.5, r("r4"), r("r5"), true}};
+
+    // Packets of cross-island lanes inside [cut, restore).
+    const auto island = [&](NodeIndex n) {
+      return n >= r("r1") && n <= r("r4");
+    };
+    const auto at = [&](double f) {
+      return static_cast<std::size_t>(std::llround(f * 8192.0));
+    };
+    std::size_t cut_off = 0;
+    std::size_t revived = 0;
+    for (std::size_t i = at(0.3); i < stream.size(); ++i) {
+      const TrafficPair& pair = stream.pairs[stream.pair[i]];
+      if (island(pair.src) == island(pair.dst)) continue;
+      ++(i < at(0.5) ? cut_off : revived);
+    }
+    ASSERT_GT(cut_off, 0U);
+    ASSERT_GT(revived, 0U);
+
+    const ScenarioReport report = ScenarioRunner(options).run(fabric, stream);
+    EXPECT_EQ(report.wrong_egress, 0U);
+    EXPECT_GT(report.unroutable_pairs, 0U);
+    EXPECT_EQ(report.dropped_packets, cut_off);
+    EXPECT_EQ(report.failover_packets_lost, cut_off);
+    EXPECT_EQ(report.packets + report.dropped_packets, 8192U);
+  }
 }
 
 TEST(FailoverRunner, ProtectedRingLosesNothingOnSingleFailure) {

@@ -75,7 +75,8 @@ TEST(BuiltFabric, FailLinkInvalidatesExactlyTheCrossingRoutes) {
   ASSERT_NE(backward, nullptr);
   const auto backward_hops = backward->expected.hops;
 
-  const auto affected = built.fail_link(r0, r1);
+  const auto affected = built.apply_failure(r0, r1).affected;
+  (void)built.repair_pending();
   ASSERT_EQ(affected.size(), 1u);
   EXPECT_EQ(affected[0].first, r0);
   EXPECT_EQ(affected[0].second, r2);
@@ -89,7 +90,7 @@ TEST(BuiltFabric, FailLinkInvalidatesExactlyTheCrossingRoutes) {
   EXPECT_EQ(detour->path.size(), 4u);
   EXPECT_EQ(detour->expected.egress_node, built.fabric_index(r2));
 
-  EXPECT_THROW((void)built.fail_link(r0, r2), std::invalid_argument);
+  EXPECT_THROW((void)built.apply_failure(r0, r2), std::invalid_argument);
 }
 
 TEST(BuiltFabric, DisconnectionYieldsNullRoute) {
@@ -99,8 +100,9 @@ TEST(BuiltFabric, DisconnectionYieldsNullRoute) {
   const NodeIndex r1 = topo.index_of("r1");
   const NodeIndex r2 = topo.index_of("r2");
   const NodeIndex r3 = topo.index_of("r3");
-  (void)built.fail_link(r0, r1);
-  (void)built.fail_link(r2, r3);  // ring cut twice: {r0, r3} vs {r1, r2}
+  (void)built.apply_failure(r0, r1);
+  (void)built.apply_failure(r2, r3);  // ring cut twice: {r0, r3} vs {r1, r2}
+  (void)built.repair_pending();
   EXPECT_EQ(built.route(r0, r1), nullptr);
   EXPECT_EQ(built.route(r0, r2), nullptr);
   ASSERT_NE(built.route(r0, r3), nullptr);

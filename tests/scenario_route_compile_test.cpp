@@ -119,9 +119,11 @@ TEST(TreeCompile, PostFailLinkRepairKeepsParity) {
       }
     }
     ASSERT_NE(b, netsim::kInvalidIndex);
-    const auto affected = tree_compiled.fail_link(a, b);
+    const auto affected = tree_compiled.apply_failure(a, b).affected;
+    (void)tree_compiled.repair_pending();
     EXPECT_FALSE(affected.empty());  // at least a->b crossed it
-    (void)baseline.fail_link(a, b);
+    (void)baseline.apply_failure(a, b);
+    (void)baseline.repair_pending();
     expect_all_pairs_parity(tree_compiled, baseline);
   }
 }
@@ -170,7 +172,8 @@ TEST(TreeCompile, FailLinkRecompilesOnlyCrossingRoutes) {
   const auto untouched_id = untouched->id.value;
 
   const CompileStats before = built.compile_stats();
-  const auto affected = built.fail_link(leaf3, spine1);
+  const auto affected = built.apply_failure(leaf3, spine1).affected;
+  (void)built.repair_pending();
   const CompileStats after = built.compile_stats();
 
   // Exactly the crossing routes were recompiled -- no full flush.
@@ -202,7 +205,8 @@ TEST(TreeCompile, DisconnectingFailureEvictsInsteadOfRepairing) {
   built.compile_all_pairs();
   const NodeIndex leaf2 = topo.index_of("leaf2");
   const NodeIndex spine0 = topo.index_of("spine0");
-  const auto affected = built.fail_link(leaf2, spine0);
+  const auto affected = built.apply_failure(leaf2, spine0).affected;
+  (void)built.repair_pending();
   // Every pair involving leaf2 crossed its only access link.
   EXPECT_EQ(affected.size(), 6u);
   for (const NodeIndex other : built.routers()) {

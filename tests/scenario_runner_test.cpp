@@ -190,11 +190,11 @@ TEST(ReplayShards, ValidatesArguments) {
   std::vector<std::uint32_t> index(4, 0);
   std::vector<polka::PacketResult> expected(1);
   EXPECT_THROW((void)replay_shards(fast, labels, ingress, index, expected, {},
-                                   1, 16),
+                                   SegmentTable{}, 1, 16),
                std::invalid_argument);
   ingress.resize(4);
   EXPECT_THROW((void)replay_shards(fast, labels, ingress, index, expected, {},
-                                   1, 0),
+                                   SegmentTable{}, 1, 0),
                std::invalid_argument);
 }
 

@@ -166,7 +166,8 @@ TEST(SegmentedRoutes, FailLinkRepairsRouteWhoseWaypointDied) {
   }
   ASSERT_NE(into_waypoint, netsim::kInvalidIndex);
   const NodeIndex from = topo.link(into_waypoint).from;
-  const auto affected = built.fail_link(from, waypoint);
+  const auto affected = built.apply_failure(from, waypoint).affected;
+  (void)built.repair_pending();
   EXPECT_FALSE(affected.empty());
 
   // The repaired route detours (the ring stays connected), is still
@@ -181,7 +182,8 @@ TEST(SegmentedRoutes, FailLinkRepairsRouteWhoseWaypointDied) {
   expect_segmented_route_exact(built, r0, *repaired, 256);
 
   BuiltFabric fresh(topo);
-  (void)fresh.fail_link(from, waypoint);
+  (void)fresh.apply_failure(from, waypoint);
+  (void)fresh.repair_pending();
   const CompiledRoute* want = fresh.route(r0, r64);
   ASSERT_NE(want, nullptr);
   EXPECT_EQ(repaired->segments, want->segments);
