@@ -14,7 +14,9 @@
 // --loss-window N charges each recompiled pair N packets of loss.
 //
 // Observability outputs (all optional):
-//   --json PATH    hp-report-v1 JSON, one entry per scenario run
+//   --json PATH    hp-report-v1 JSON: per scenario run, its report under
+//                  the run name ("name@tN") and its metric snapshot
+//                  under "name@tN#metrics"
 //   --trace PATH   chrome://tracing JSON of replay epochs and repairs
 
 #include <algorithm>
@@ -57,17 +59,21 @@ void print_report(const std::string& name, unsigned threads,
   }
 }
 
-/// ("name@tN", hp-report-v1 json) pairs collected for --json.
+/// (entry name, hp-report-v1 json) pairs collected for --json.
 using JsonEntries = std::vector<std::pair<std::string, std::string>>;
 
 int run_one(const scenario::ScenarioSpec& spec,
             const scenario::RunnerOptions& options,
             const std::optional<scenario::FailureInjectorParams>& inject,
             JsonEntries* json_out) {
+  // Each run gets its own registry, so its snapshot is that run's alone;
+  // declared first, it outlives the fabric that points at it.
+  hp::obs::MetricRegistry registry;
   // Build once so a failure schedule acts on the same fabric/stream.
   scenario::BuiltFabric fabric(scenario::build_topology(spec));
   scenario::PacketStream stream = scenario::generate_traffic(fabric, spec.traffic);
   scenario::RunnerOptions run_options = options;
+  if (json_out != nullptr) run_options.metrics = &registry;
   if (inject.has_value()) {
     // The schedule is a pure function of (topology, params), so each
     // sweep entry gets its own deterministic events.
@@ -84,8 +90,10 @@ int run_one(const scenario::ScenarioSpec& spec,
   const auto report = scenario::ScenarioRunner(run_options).run(fabric, stream);
   print_report(spec.name, run_options.threads, report);
   if (json_out != nullptr) {
-    json_out->emplace_back(spec.name + "@t" + std::to_string(options.threads),
-                           hp::obs::to_json(report));
+    const std::string run = spec.name + "@t" + std::to_string(options.threads);
+    json_out->emplace_back(run, hp::obs::to_json(report));
+    json_out->emplace_back(run + "#metrics",
+                           hp::obs::to_json(registry.snapshot()));
   }
   return report.wrong_egress == 0 ? 0 : 1;
 }
@@ -172,11 +180,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  hp::obs::MetricRegistry registry;
   hp::obs::TraceSink trace_sink;
   JsonEntries json_entries;
   JsonEntries* json_out = json_path.empty() ? nullptr : &json_entries;
-  if (!json_path.empty()) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &trace_sink;
 
   if (list) {

@@ -27,7 +27,9 @@
 // retransmissions per sequence before a flow is abandoned.
 //
 // Observability outputs (all optional):
-//   --json PATH    hp-report-v1 JSON, one entry per scenario run
+//   --json PATH    hp-report-v1 JSON: per scenario run, its report under
+//                  the run name and its metric snapshot under
+//                  "<run name>#metrics"
 //   --trace PATH   chrome://tracing JSON of the runner phases
 //   --flight PATH  hp-flight-v1 JSON from the sampled hop recorder
 
@@ -83,7 +85,7 @@ void print_report(const std::string& name, const sim::SimReport& report) {
   }
 }
 
-/// (scenario name, hp-report-v1 json) pairs collected for --json.
+/// (entry name, hp-report-v1 json) pairs collected for --json.
 using JsonEntries = std::vector<std::pair<std::string, std::string>>;
 
 int run_one(const scenario::ScenarioSpec& spec, const sim::SimOptions& options,
@@ -94,6 +96,9 @@ int run_one(const scenario::ScenarioSpec& spec, const sim::SimOptions& options,
   if (packets_override != 0) spec_copy.traffic.packets = packets_override;
   if (seed_override != 0) spec_copy.traffic.seed = seed_override;
   sim::SimOptions run_options = options;
+  // Each run gets its own registry, so its snapshot is that run's alone.
+  hp::obs::MetricRegistry registry;
+  if (json_out != nullptr) run_options.metrics = &registry;
   if (inject.has_value()) {
     // Deterministic per-topology events (the schedule is a pure
     // function of topology + params, so every run reproduces).
@@ -104,6 +109,8 @@ int run_one(const scenario::ScenarioSpec& spec, const sim::SimOptions& options,
   print_report(spec_copy.name, report);
   if (json_out != nullptr) {
     json_out->emplace_back(spec_copy.name, hp::obs::to_json(report));
+    json_out->emplace_back(spec_copy.name + "#metrics",
+                           hp::obs::to_json(registry.snapshot()));
   }
   return report.forwarding.wrong_egress == 0 ? 0 : 1;
 }
@@ -222,12 +229,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  hp::obs::MetricRegistry registry;
   hp::obs::TraceSink trace_sink;
   hp::obs::FlightRecorder recorder;
   JsonEntries json_entries;
   JsonEntries* json_out = json_path.empty() ? nullptr : &json_entries;
-  if (!json_path.empty()) options.metrics = &registry;
   if (!trace_path.empty()) options.trace = &trace_sink;
   if (!flight_path.empty()) options.recorder = &recorder;
 

@@ -17,8 +17,11 @@ The repo rests on conventions no general-purpose linter knows about:
 * **hot-path-purity** -- regions bracketed by `// HP_HOT_BEGIN(name)`
   ... `// HP_HOT_END(name)` (the fold kernels, the batch forwarding
   entry points, replay_slice, the PacketSim event loop) must not
-  allocate: no new/malloc, no container growth calls.  The dynamic
-  twin of this rule is tests/alloc_guard_test.cpp.
+  allocate: no new/malloc, no container growth calls.  They must not
+  write registry counters or gauges either (`.add(` / `.sub(` /
+  `.set(`): each number is counted once, in the report, and copied
+  into the registry after the run.  The dynamic twin of the allocation
+  half is tests/alloc_guard_test.cpp.
 
 Rules are classes registered in RULES; each carries its own file scope
 and a per-file allowlist whose entries MUST have a written reason and
@@ -494,7 +497,8 @@ class HeaderHygieneRule(Rule):
 class HotPathPurityRule(Rule):
     name = "hot-path-purity"
     description = (
-        "rejects allocation and container growth inside "
+        "rejects allocation, container growth and counter/gauge "
+        "writes inside "
         "// HP_HOT_BEGIN(x) ... // HP_HOT_END(x) regions (fold "
         "kernels, batch forwarding, replay_slice, the sim event loop)")
     scope = ["src/**/*"]
@@ -503,18 +507,28 @@ class HotPathPurityRule(Rule):
     BEGIN = re.compile(r"//\s*HP_HOT_BEGIN\((\w+)\)")
     END = re.compile(r"//\s*HP_HOT_END\((\w+)\)")
 
+    ALLOC_HINT = "hot paths run on storage sized before the walk starts"
+
+    #: (pattern, what, hint)
     BANNED = [
-        (re.compile(r"(?<![\w:])\bnew\b(?!\s*\()"), "operator new"),
-        (re.compile(r"(?<![\w:])\bnew\s*\("), "placement/operator new"),
+        (re.compile(r"(?<![\w:])\bnew\b(?!\s*\()"), "operator new",
+         ALLOC_HINT),
+        (re.compile(r"(?<![\w:])\bnew\s*\("), "placement/operator new",
+         ALLOC_HINT),
         (re.compile(r"\b(malloc|calloc|realloc|aligned_alloc|strdup)\s*\("),
-         "C allocation"),
+         "C allocation", ALLOC_HINT),
         (re.compile(r"\bstd\s*::\s*make_(unique|shared)\b"),
-         "heap-owning smart-pointer construction"),
+         "heap-owning smart-pointer construction", ALLOC_HINT),
         (re.compile(
             r"(?:\.|->)\s*(push_back|emplace_back|push_front|emplace_front|"
             r"resize|reserve|insert|emplace|append|assign|shrink_to_fit)"
             r"\s*\("),
-         "container growth"),
+         "container growth", ALLOC_HINT),
+        # Histogram::record stays allowed.
+        (re.compile(r"(?:\.|->)\s*(add|sub|set)\s*\("),
+         "counter/gauge write",
+         "count in the report and copy it into the registry after the "
+         "run; refresh gauges outside the region"),
     ]
 
     #: Regions the tree must carry: deleting a marker (or the file's
@@ -575,14 +589,13 @@ class HotPathPurityRule(Rule):
             for region, begin, end in regions:
                 for lineno in range(begin + 1, end):
                     line = masked[lineno - 1]
-                    for pat, why in self.BANNED:
+                    for pat, why, hint in self.BANNED:
                         if pat.search(line):
                             findings.append(Finding(
                                 self.name, src.rel, lineno,
                                 f"{why} inside hot region '{region}': "
-                                f"`{src.lines[lineno - 1].strip()}` -- hot "
-                                "paths run on storage sized before the "
-                                "walk starts"))
+                                f"`{src.lines[lineno - 1].strip()}` -- "
+                                f"{hint}"))
         if not tree.fixture_mode:
             for rel, names in self.REQUIRED.items():
                 for name in names:

@@ -164,8 +164,13 @@ std::vector<LinkFailure> make_failure_schedule(
         // Alternate down/up with exponential dwells until the window
         // closes; a cycle whose restore would land past the window
         // leaves the link down (the tail of the run sees the outage).
+        // A first up-dwell past the window would leave the link never
+        // failing, so that first failure is drawn inside the window.
         double t = params.start_fraction +
                    params.mean_up_fraction * next_exponential(rng);
+        if (t >= params.end_fraction) {
+          t = params.start_fraction + span * next_unit(rng);
+        }
         while (t < params.end_fraction) {
           schedule.push_back(make_event(t, links[c], false));
           const double down = params.mean_down_fraction * next_exponential(rng);

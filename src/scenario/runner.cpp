@@ -16,35 +16,6 @@ namespace hp::scenario {
 
 namespace {
 
-/// Handles resolved once per replay (registration takes a mutex; the
-/// workers then only touch their lock-free shards).  Null when metrics
-/// are off.
-struct ReplayMetrics {
-  obs::Counter* packets = nullptr;       ///< added per batch flush
-  obs::Counter* folds = nullptr;         ///< added per batch flush
-  obs::Counter* wrong_egress = nullptr;  ///< the rest: added per slice
-  obs::Counter* ttl_expired = nullptr;
-  obs::Counter* dropped_packets = nullptr;
-  obs::Counter* segmented_packets = nullptr;
-  obs::Counter* segment_swaps = nullptr;
-  obs::Counter* slices = nullptr;
-  obs::Histogram* slice_ns = nullptr;  ///< wall clock of one worker slice
-
-  static ReplayMetrics resolve(obs::MetricRegistry& reg) {
-    ReplayMetrics m;
-    m.packets = &reg.counter("replay.packets");
-    m.folds = &reg.counter("replay.folds");
-    m.wrong_egress = &reg.counter("replay.wrong_egress");
-    m.ttl_expired = &reg.counter("replay.ttl_expired");
-    m.dropped_packets = &reg.counter("replay.dropped_packets");
-    m.segmented_packets = &reg.counter("replay.segmented_packets");
-    m.segment_swaps = &reg.counter("replay.segment_swaps");
-    m.slices = &reg.counter("replay.slices");
-    m.slice_ns = &reg.histogram("replay.slice_ns");
-    return m;
-  }
-};
-
 /// One worker's walk over its slice: fill private batch buffers
 /// (skipping dead pairs), stream them through the compiled fabric and
 /// check each result against its pair's expectation.  Multi-segment
@@ -58,8 +29,7 @@ void replay_slice(const polka::CompiledFabric& fabric,
                   std::span<const polka::PacketResult> expected,
                   std::span<const std::uint8_t> alive,
                   const SegmentTable& segments, std::size_t batch_size,
-                  std::size_t max_hops, ScenarioReport& out,
-                  const ReplayMetrics* rm) {
+                  std::size_t max_hops, ScenarioReport& out) {
   const auto slice_start = std::chrono::steady_clock::now();
   std::vector<polka::RouteLabel> batch_labels(batch_size);
   std::vector<std::uint32_t> batch_firsts(batch_size);
@@ -97,11 +67,6 @@ void replay_slice(const polka::CompiledFabric& fabric,
       score(batch_results[i], batch_index[i]);
     }
     out.packets += fill;
-    // Flush-granular, never per-packet: one sharded add per batch.
-    if (rm != nullptr) {
-      rm->packets->add(fill);
-      rm->folds->add(mods);
-    }
     fill = 0;
   };
   auto flush_segmented = [&] {
@@ -117,10 +82,6 @@ void replay_slice(const polka::CompiledFabric& fabric,
       score(seg_results[i], seg_index[i]);
     }
     out.packets += seg_fill;
-    if (rm != nullptr) {
-      rm->packets->add(seg_fill);
-      rm->folds->add(mods);
-    }
     seg_fill = 0;
   };
   for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -148,18 +109,9 @@ void replay_slice(const polka::CompiledFabric& fabric,
   flush();
   flush_segmented();
   // HP_HOT_END(replay_slice)
-  if (rm != nullptr) {
-    rm->wrong_egress->add(out.wrong_egress);
-    rm->ttl_expired->add(out.ttl_expired);
-    rm->dropped_packets->add(out.dropped_packets);
-    rm->segmented_packets->add(out.segmented_packets);
-    rm->segment_swaps->add(out.segment_swaps);
-    rm->slices->add(1);
-    rm->slice_ns->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - slice_start)
-            .count()));
-  }
+  out.seconds = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - slice_start)
+                    .count();
 }
 
 }  // namespace
@@ -187,20 +139,11 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
   std::size_t workers = std::max<unsigned>(threads, 1);
   workers = std::min(workers, std::max<std::size_t>(total, 1));
 
-  // Resolve handles before spawning anyone; workers then record on
-  // their lock-free shards only.
-  ReplayMetrics rm_storage;
-  const ReplayMetrics* rm = nullptr;
-  if (metrics != nullptr) {
-    rm_storage = ReplayMetrics::resolve(*metrics);
-    rm = &rm_storage;
-  }
-
   const auto start = std::chrono::steady_clock::now();
   std::vector<ScenarioReport> partial(workers);
   if (workers == 1) {
     replay_slice(fabric, labels, ingress, index, expected, alive, segments,
-                 batch_size, max_hops, partial[0], rm);
+                 batch_size, max_hops, partial[0]);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
@@ -210,7 +153,7 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
         replay_slice(fabric, labels.subspan(begin, end - begin),
                      ingress.subspan(begin, end - begin),
                      index.subspan(begin, end - begin), expected, alive,
-                     segments, batch_size, max_hops, partial[w], rm);
+                     segments, batch_size, max_hops, partial[w]);
       });
     }
     for (auto& t : pool) t.join();
@@ -218,12 +161,30 @@ ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
   ScenarioReport report;
   report.fold_kernel = fabric.kernel();
   // Worker partials follow the documented shard-merge schema: counters
-  // sum; their `seconds` are zero (concurrent shard wall clock must be
-  // measured around the join, not summed) and are overwritten below.
+  // sum.  Each partial's `seconds` is its own slice's wall clock;
+  // concurrent slices must not be summed, so the merged value is
+  // overwritten below with the clock measured around the join.
   for (const ScenarioReport& p : partial) report.merge_from(p);
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  if (metrics != nullptr) {
+    // The merged report owns every replay.* count; the registry gets
+    // one copy per call, after the join -- no worker touches it.
+    metrics->counter("replay.packets").add(report.packets);
+    metrics->counter("replay.folds").add(report.mod_operations);
+    metrics->counter("replay.wrong_egress").add(report.wrong_egress);
+    metrics->counter("replay.ttl_expired").add(report.ttl_expired);
+    metrics->counter("replay.dropped_packets").add(report.dropped_packets);
+    metrics->counter("replay.segmented_packets")
+        .add(report.segmented_packets);
+    metrics->counter("replay.segment_swaps").add(report.segment_swaps);
+    metrics->counter("replay.slices").add(workers);
+    obs::Histogram& wall = metrics->histogram("replay.slice_ns");
+    for (const ScenarioReport& p : partial) {
+      wall.record(static_cast<std::uint64_t>(std::llround(p.seconds * 1e9)));
+    }
+  }
   return report;
 }
 

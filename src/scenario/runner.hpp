@@ -47,12 +47,11 @@ struct RunnerOptions {
   /// this many of its next packets, dropped inside the failure window.
   /// 0 (the default) keeps the historic loss-free instant repair.
   std::size_t loss_window_per_recompile = 0;
-  /// Optional observability taps (borrowed).  Workers record replay.*
-  /// counters at flush/slice granularity -- never per packet -- so the
-  /// enabled hot path stays within the <2% pps budget the overhead
-  /// bench pins; the trace sink gets one replay.failover event for the
-  /// timeline and one replay.epoch event per replayed slice of the
-  /// stream.
+  /// Optional observability taps (borrowed).  replay_shards copies the
+  /// replay.* counters from its merged report once per call, after the
+  /// join, so no worker touches the registry; the trace sink gets one
+  /// replay.failover event for the timeline and one replay.epoch event
+  /// per replayed slice of the stream.
   obs::MetricRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
 };
@@ -61,9 +60,8 @@ struct RunnerOptions {
 ///
 /// Shard-merge schema (merge_from): a full report is the merge of
 /// per-shard partial reports, and the rules are part of the type's
-/// contract because three layers build on them (replay_shards' worker
-/// merge, ScenarioRunner's epoch merge, and sim::SimReport's embedded
-/// copy):
+/// contract because two layers build on them (replay_shards' worker
+/// merge and ScenarioRunner's epoch merge):
 ///  * every packet/work counter (packets .. segment_swaps) SUMS --
 ///    shards partition the stream, so counts are disjoint;
 ///  * `seconds` SUMS, which is correct only for *sequential* partials
@@ -74,7 +72,7 @@ struct RunnerOptions {
 ///  * distribution metrics (e.g. FCT percentiles) are NOT part of this
 ///    struct precisely because they cannot be merged as counters: a
 ///    p95 must be recomputed from pooled samples, never averaged --
-///    sim::SimReport carries its samples for that reason.
+///    sim::SimReport keeps its raw FCT samples for that reason.
 struct ScenarioReport {
   std::size_t packets = 0;         ///< packets actually forwarded
   std::size_t mod_operations = 0;  ///< data-plane work (== total hops)
@@ -147,10 +145,10 @@ struct SegmentTable {
 /// dropped); `segments.refs`, when nonempty, must cover every lane
 /// value.  This is the primitive both ScenarioRunner and
 /// core::PolkaService build on.
-/// `metrics`, when set, receives replay.* counters (packets and folds
-/// added per batch flush, outcome counters per slice) recorded
-/// concurrently by every worker -- the registry's sharded hot path is
-/// exactly what absorbs that.
+/// `metrics`, when set, receives the replay.* counters of the merged
+/// report and one replay.slice_ns sample per worker, all written after
+/// the join; workers only fill their own partial report, whose
+/// `seconds` is that worker's slice wall clock.
 ScenarioReport replay_shards(const polka::CompiledFabric& fabric,
                              std::span<const polka::RouteLabel> labels,
                              std::span<const std::uint32_t> ingress,

@@ -56,33 +56,30 @@ PacketSim::PacketSim(const polka::CompiledFabric& fabric,
   register_metrics();
 }
 
+std::string link_metric_name(std::size_t channel, const char* kind) {
+  char name[64];
+  std::snprintf(name, sizeof(name), "sim.link.%05zu.%s", channel, kind);
+  return name;
+}
+
 void PacketSim::register_metrics() {
   obs::MetricRegistry* reg = config_.metrics;
   if (reg == nullptr) return;
-  obs_.injected = &reg->counter("sim.injected");
-  obs_.delivered = &reg->counter("sim.delivered");
-  obs_.tail_drops = &reg->counter("sim.tail_drops");
-  obs_.ttl_expired = &reg->counter("sim.ttl_expired");
-  obs_.ecn_marked = &reg->counter("sim.ecn_marked");
-  obs_.folds = &reg->counter("sim.folds");
-  obs_.segment_swaps = &reg->counter("sim.segment_swaps");
-  obs_.wrong_egress = &reg->counter("sim.wrong_egress");
-  obs_.failover_lost = &reg->counter("sim.failover.packets_lost");
-  obs_.link_events = &reg->counter("sim.failover.link_events");
   obs_.in_flight = &reg->gauge("sim.in_flight");
   obs_.queue_depth = &reg->histogram("sim.queue_depth");
   obs_.link_depth.reserve(channels_.size());
-  obs_.link_drops.reserve(channels_.size());
-  obs_.link_ecn.reserve(channels_.size());
-  char name[48];
   for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
-    // Zero-padded so the name-sorted snapshot lists links numerically.
-    std::snprintf(name, sizeof(name), "sim.link.%05zu.queue_depth", ch);
-    obs_.link_depth.push_back(&reg->gauge(name));
-    std::snprintf(name, sizeof(name), "sim.link.%05zu.drops", ch);
-    obs_.link_drops.push_back(&reg->counter(name));
-    std::snprintf(name, sizeof(name), "sim.link.%05zu.ecn", ch);
-    obs_.link_ecn.push_back(&reg->counter(name));
+    obs_.link_depth.push_back(&reg->gauge(link_metric_name(ch, "queue_depth")));
+  }
+}
+
+void PacketSim::refresh_gauges() {
+  if (obs_.in_flight == nullptr) return;
+  const SimCounters& c = result_.counters;
+  obs_.in_flight->set(static_cast<std::int64_t>(
+      c.injected - c.delivered - c.dropped - c.ttl_expired));
+  for (std::size_t ch = 0; ch < channel_state_.size(); ++ch) {
+    obs_.link_depth[ch]->set(channel_state_[ch].queued);
   }
 }
 
@@ -145,10 +142,6 @@ std::uint32_t PacketSim::inject(Tick at, polka::RouteLabel label,
   ++fs.packets;
   ++result_.counters.injected;
   if (ref.label_count > 1) ++result_.counters.segmented_packets;
-  if (obs_.injected != nullptr) {
-    obs_.injected->add(1);
-    obs_.in_flight->add(1);
-  }
   queue_.push(at, kArrive, index);
   return index;
 }
@@ -181,13 +174,11 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++s.seg;
     s.label = pool_labels_[s.ref.first_label + s.seg].bits;
     ++c.segment_swaps;
-    if (obs_.segment_swaps != nullptr) obs_.segment_swaps->add(1);
   }
   const std::uint32_t port =
       fabric_.port_of(polka::RouteLabel{s.label}, s.node);
   ++c.mod_operations;
   ++s.hops;
-  if (obs_.folds != nullptr) obs_.folds->add(1);
   const std::uint32_t peer = fabric_.neighbor(s.node, port);
   FlowStat& fs = result_.flows[s.flow];
   // Shared delivery tail: the unwired-port and channel-less-port exits.
@@ -196,13 +187,7 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++fs.delivered;
     fs.last_delivery = std::max(fs.last_delivery, t);
     const polka::PacketResult got{s.node, port, s.hops, false};
-    const bool wrong = got != flow_expected_[s.flow];
-    if (wrong) ++c.wrong_egress;
-    if (obs_.delivered != nullptr) {
-      obs_.delivered->add(1);
-      obs_.in_flight->sub(1);
-      if (wrong) obs_.wrong_egress->add(1);
-    }
+    if (got != flow_expected_[s.flow]) ++c.wrong_egress;
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kDelivered});
@@ -217,10 +202,6 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   if (s.hops >= config_.max_hops) {
     ++c.ttl_expired;
     ++fs.ttl_expired;
-    if (obs_.ttl_expired != nullptr) {
-      obs_.ttl_expired->add(1);
-      obs_.in_flight->sub(1);
-    }
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, 0,
                       obs::HopOutcome::kTtlExpired});
@@ -248,11 +229,6 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++c.failover_lost;
     ++fs.dropped;
     ++stat.failover_drops;
-    if (obs_.failover_lost != nullptr) {
-      obs_.failover_lost->add(1);
-      obs_.link_drops[ch]->add(1);
-      obs_.in_flight->sub(1);
-    }
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, state.queued,
                       obs::HopOutcome::kLinkDown});
@@ -267,11 +243,6 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
     ++c.dropped;
     ++fs.dropped;
     ++stat.tail_drops;
-    if (obs_.tail_drops != nullptr) {
-      obs_.tail_drops->add(1);
-      obs_.link_drops[ch]->add(1);
-      obs_.in_flight->sub(1);
-    }
     if (flight != nullptr) {
       flight->record({t, s.flow, packet, s.node, port, state.queued,
                       obs::HopOutcome::kTailDrop});
@@ -283,21 +254,12 @@ void PacketSim::handle_arrival(Tick t, std::uint32_t packet) {
   }
   ++state.queued;
   stat.max_queue_depth = std::max(stat.max_queue_depth, state.queued);
-  const bool ecn =
-      link.ecn_threshold != 0 && state.queued >= link.ecn_threshold;
-  if (ecn) {
+  if (link.ecn_threshold != 0 && state.queued >= link.ecn_threshold) {
     ++c.ecn_marked;
     ++stat.ecn_marks;
     if (config_.ecn_hook) config_.ecn_hook(ch, state.queued, s.flow);
   }
-  if (obs_.queue_depth != nullptr) {
-    obs_.queue_depth->record(state.queued);
-    obs_.link_depth[ch]->add(1);
-    if (ecn) {
-      obs_.ecn_marked->add(1);
-      obs_.link_ecn[ch]->add(1);
-    }
-  }
+  if (obs_.queue_depth != nullptr) obs_.queue_depth->record(state.queued);
   if (flight != nullptr) {
     flight->record({t, s.flow, packet, s.node, port, state.queued,
                     obs::HopOutcome::kForwarded});
@@ -329,10 +291,11 @@ SimResult PacketSim::run() {
     // violation here means an engine scheduled into the past -- the
     // exact class of bug that silently breaks bit-identical replay.
     HP_CHECK(e.at >= now_, "PacketSim: event scheduled before now");
-    if (sampling) {
+    if (sampling && next_sample_ <= e.at) {
       // Sample every boundary at or before this event, *before*
       // processing it: each point is the state as of the boundary tick,
       // pinned to event order, never wall clock.
+      refresh_gauges();
       while (next_sample_ <= e.at) {
         config_.telemetry->sample(static_cast<double>(next_sample_) * 1e-9);
         next_sample_ += period;
@@ -347,16 +310,11 @@ SimResult PacketSim::run() {
         HP_DCHECK(channel_state_[e.arg].queued > 0,
                   "PacketSim: drain on an empty channel queue");
         --channel_state_[e.arg].queued;
-        if (obs_.queue_depth != nullptr) obs_.link_depth[e.arg]->sub(1);
         break;
       case kLinkDown:
-        link_up_[e.arg] = 0;
-        ++result_.counters.link_down_events;
-        if (obs_.link_events != nullptr) obs_.link_events->add(1);
-        break;
       case kLinkUp:
-        link_up_[e.arg] = 1;
-        if (obs_.link_events != nullptr) obs_.link_events->add(1);
+        link_up_[e.arg] = e.kind == kLinkUp ? 1 : 0;
+        ++result_.counters.link_events;
         break;
       case kTimer:
         HP_DCHECK(static_cast<bool>(config_.timer_hook),
@@ -368,6 +326,7 @@ SimResult PacketSim::run() {
     }
   }
   result_.counters.end_ns = now_;
+  refresh_gauges();
   return result_;
 }
 // HP_HOT_END(event_loop)

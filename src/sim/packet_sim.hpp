@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "polka/fastpath.hpp"
@@ -41,7 +42,6 @@
 #include "sim/event_queue.hpp"
 
 namespace hp::obs {
-class Counter;
 class Gauge;
 class Histogram;
 class MetricRegistry;
@@ -78,6 +78,13 @@ struct LinkStat {
 
   friend bool operator==(const LinkStat&, const LinkStat&) noexcept = default;
 };
+
+/// Registry name of channel `channel`'s `kind` metric
+/// ("sim.link.NNNNN.<kind>"): zero-padded so the name-sorted snapshot
+/// lists links numerically.  The engine's queue_depth gauge and the
+/// runner's drops/ecn counters share this one spelling.
+[[nodiscard]] std::string link_metric_name(std::size_t channel,
+                                           const char* kind);
 
 /// Per-flow accumulated statistics.  A flow is complete when every one
 /// of its packets was delivered; its FCT is last delivery - first
@@ -132,11 +139,15 @@ struct SimConfig {
       drop_hook;
   std::function<void(Tick t, std::uint32_t arg)> timer_hook;
   /// Observability taps, all optional (borrowed; must outlive run()).
-  /// With `metrics` set the engine registers sim.* counters, the
-  /// sim.queue_depth histogram and one sim.link.NNNNN.queue_depth gauge
-  /// (plus .drops/.ecn counters) per channel.  Everything recorded
-  /// derives from simulated ticks and event order -- never wall clock
-  /// -- so a fixed-seed run snapshots bit-identically.
+  /// With `metrics` set the engine records the sim.queue_depth
+  /// histogram per enqueue and keeps the sim.in_flight gauge and one
+  /// sim.link.NNNNN.queue_depth gauge per channel, refreshed from its
+  /// own state before each telemetry sample and at the end of run().
+  /// The sim.* counters are not the engine's: SimResult already holds
+  /// them, and the runner copies them into the registry once.
+  /// Everything recorded derives from simulated ticks and event order
+  /// -- never wall clock -- so a fixed-seed run snapshots
+  /// bit-identically.
   obs::MetricRegistry* metrics = nullptr;
   /// Hop-level ring for 1-in-N flows (see obs/flight_recorder.hpp).
   obs::FlightRecorder* recorder = nullptr;
@@ -154,7 +165,7 @@ struct SimCounters {
   std::size_t delivered = 0;
   std::size_t dropped = 0;        ///< tail + failover drops
   std::size_t failover_lost = 0;  ///< of `dropped`: arrivals at a dead link
-  std::size_t link_down_events = 0;  ///< kLinkDown events processed
+  std::size_t link_events = 0;  ///< kLinkDown + kLinkUp events processed
   std::size_t ttl_expired = 0;
   std::size_t wrong_egress = 0;   ///< delivery diverged from expectation
   std::size_t mod_operations = 0; ///< label folds == hops walked
@@ -280,24 +291,14 @@ class PacketSim {
   /// Metric handles resolved once at construction (all null when
   /// config_.metrics is null, so the disabled path costs one branch).
   struct ObsHandles {
-    obs::Counter* injected = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* tail_drops = nullptr;
-    obs::Counter* ttl_expired = nullptr;
-    obs::Counter* ecn_marked = nullptr;
-    obs::Counter* folds = nullptr;
-    obs::Counter* segment_swaps = nullptr;
-    obs::Counter* wrong_egress = nullptr;
-    obs::Counter* failover_lost = nullptr;
-    obs::Counter* link_events = nullptr;
     obs::Gauge* in_flight = nullptr;
     obs::Histogram* queue_depth = nullptr;
-    std::vector<obs::Gauge*> link_depth;     ///< one per channel
-    std::vector<obs::Counter*> link_drops;   ///< one per channel
-    std::vector<obs::Counter*> link_ecn;     ///< one per channel
+    std::vector<obs::Gauge*> link_depth;  ///< one per channel
   };
 
   void register_metrics();
+  /// Set the gauges from the engine state (no-op with metrics off).
+  void refresh_gauges();
   void handle_arrival(Tick t, std::uint32_t packet);
 
   const polka::CompiledFabric& fabric_;

@@ -3,16 +3,16 @@
 //
 // A SimReport embeds a ScenarioReport (so every consumer of replay
 // reports -- benches, CLIs, CI artifacts -- reads simulated runs with
-// the same fields and merge schema) and adds what only a timed data
-// plane can know: the flow-completion-time distribution, drop rate,
-// ECN marks, queue high-water marks and link utilization.
+// the same fields) and adds what only a timed data plane can know: the
+// flow-completion-time distribution, drop rate, ECN marks, queue
+// high-water marks and link utilization.
 //
 // FCT percentiles are nearest-rank statistics over the *retained
-// sample vector*, never stored precomputed: merging two partial
-// reports pools the samples and recomputes, because percentiles do not
-// average (see ScenarioReport's shard-merge schema note).  Every field
-// is derived from integer event timestamps, so a fixed scenario seed
-// reproduces a bit-identical report on every run.
+// sample vector*, never stored precomputed.  The simulator is
+// single-threaded, so one run yields one whole report; nothing merges
+// partial SimReports.  Every field is derived from integer event
+// timestamps, so a fixed scenario seed reproduces a bit-identical
+// report on every run.
 
 #include <cstdint>
 #include <vector>
@@ -40,16 +40,16 @@ struct SimReport {
   double mean_link_utilization = 0.0;  ///< across links that carried traffic
   Tick duration_ns = 0;  ///< simulated time of the last event
 
-  /// FCT of each completed flow (ns), in completion order.  Kept raw so
-  /// percentiles can be recomputed after a merge.
+  /// FCT of each completed flow (ns), in completion order.
   std::vector<Tick> fct_ns;
 
-  /// Closed-loop outcome (all-zero with `enabled` false on open-loop
-  /// runs).  Counters merge by summation, `enabled` ORs.
+  /// Closed-loop outcome.  On open-loop runs `enabled` is false and
+  /// only offered_bytes / goodput_bytes are set (injected / delivered
+  /// packets times the packet size); the other fields stay zero.
   TransportReport transport;
 
-  /// Delivered first-copy payload over offered payload (1.0 when the
-  /// transport was off or nothing was offered).
+  /// Delivered first-copy payload over offered payload (1.0 when
+  /// nothing was offered).
   [[nodiscard]] double goodput_fraction() const noexcept {
     return transport.offered_bytes == 0
                ? 1.0
@@ -72,23 +72,7 @@ struct SimReport {
                : static_cast<double>(forwarding.dropped_packets) / injected;
   }
 
-  /// Merge a partial report covering a disjoint set of flows (e.g. one
-  /// simulated shard) over the same simulated period: counters sum via
-  /// the ScenarioReport schema, FCT samples pool (percentiles are then
-  /// recomputed on demand -- never averaged), high-water marks and
-  /// utilizations take the max, and the duration is the latest end.
-  void merge_from(const SimReport& partial);
-
-  /// Consuming merge: identical schema, but the partial's FCT samples
-  /// are moved (or become the pool outright when ours is empty) instead
-  /// of copied -- shard joins discard their partials, so the copy is
-  /// pure waste there.
-  void merge_from(SimReport&& partial);
-
   friend bool operator==(const SimReport&, const SimReport&) = default;
-
- private:
-  void merge_scalars_from(const SimReport& partial);
 };
 
 }  // namespace hp::sim

@@ -333,20 +333,57 @@ SimReport SimRunner::run(scenario::BuiltFabric& fabric,
       report.fct_ns.push_back(flow.fct_ns());
       if (fct_hist != nullptr) fct_hist->record(flow.fct_ns());
     }
+    // Open loop: every stream packet is offered exactly once, so each
+    // delivery is a first copy.
+    report.transport.offered_bytes =
+        result.counters.injected * options_.packet_bytes;
+    report.transport.goodput_bytes =
+        result.counters.delivered * options_.packet_bytes;
   }
   if (registry != nullptr) {
-    registry->counter("sim.flows").add(report.flows);
-    registry->counter("sim.completed_flows").add(report.completed_flows);
+    // Every sim.* counter is a field of the engine's result or of the
+    // transport's report, copied here once: the engine may run more
+    // than once, so it cannot write them itself.  All of it is
+    // simulated-schedule derived, so it snapshots identically across
+    // runs and thread counts.
+    obs::MetricRegistry& reg = *registry;
+    const SimCounters& c = result.counters;
+    reg.counter("sim.injected").add(c.injected);
+    reg.counter("sim.delivered").add(c.delivered);
+    reg.counter("sim.tail_drops").add(c.dropped - c.failover_lost);
+    reg.counter("sim.ttl_expired").add(c.ttl_expired);
+    reg.counter("sim.ecn_marked").add(c.ecn_marked);
+    reg.counter("sim.folds").add(c.mod_operations);
+    reg.counter("sim.segment_swaps").add(c.segment_swaps);
+    reg.counter("sim.wrong_egress").add(c.wrong_egress);
+    reg.counter("sim.failover.packets_lost").add(c.failover_lost);
+    reg.counter("sim.failover.link_events").add(c.link_events);
+    for (std::size_t ch = 0; ch < result.links.size(); ++ch) {
+      const LinkStat& link = result.links[ch];
+      reg.counter(link_metric_name(ch, "drops"))
+          .add(link.tail_drops + link.failover_drops);
+      reg.counter(link_metric_name(ch, "ecn")).add(link.ecn_marks);
+    }
+    if (transport.has_value()) {
+      const TransportReport& tp = report.transport;
+      reg.counter("sim.tp.sent").add(tp.packets_sent);
+      reg.counter("sim.tp.retransmits").add(tp.retransmits);
+      reg.counter("sim.tp.timeouts").add(tp.timeouts);
+      reg.counter("sim.tp.ecn_cuts").add(tp.ecn_cwnd_cuts);
+      reg.counter("sim.tp.drop_cuts").add(tp.drop_cwnd_cuts);
+      reg.counter("sim.tp.spurious").add(tp.spurious_deliveries);
+      reg.counter("sim.tp.abandoned_flows").add(tp.abandoned_flows);
+      reg.counter("sim.tp.completed_flows").add(report.completed_flows);
+    }
+    reg.counter("sim.flows").add(report.flows);
+    reg.counter("sim.completed_flows").add(report.completed_flows);
     if (!options_.failures.empty() || options_.protection_k > 0) {
-      // All simulated-schedule derived, so they snapshot identically
-      // across runs and thread counts like every other sim.* metric.
-      registry->counter("sim.failover.swaps")
-          .add(failover.backup_swapped_pairs);
-      registry->counter("sim.failover.lazy_repairs")
+      reg.counter("sim.failover.swaps").add(failover.backup_swapped_pairs);
+      reg.counter("sim.failover.lazy_repairs")
           .add(failover.lazy_repaired_pairs);
-      registry->counter("sim.failover.unroutable_pairs")
+      reg.counter("sim.failover.unroutable_pairs")
           .add(failover.unroutable_pairs);
-      registry->counter("sim.failover.window_recompiles")
+      reg.counter("sim.failover.window_recompiles")
           .add(failover.window_recompiles);
     }
   }

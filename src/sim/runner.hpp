@@ -91,10 +91,13 @@ struct SimOptions {
   Tick repair_latency_ns = 200'000;    ///< Dijkstra + CRT recompile path
 
   // --- observability taps (all optional, borrowed) -------------------
-  /// Registry for the engine's sim.* metrics plus the runner's
-  /// sim.fct_ns histogram and flow counters.  Everything recorded under
-  /// it derives from simulated ticks, so fixed-seed snapshots are
-  /// bit-identical across runs and thread counts.
+  /// Registry for the sim.* metrics: the engine's queue-depth
+  /// histogram and gauges, the transport's cwnd/RTO histograms, the
+  /// runner's sim.fct_ns histogram, and every sim.* counter, which the
+  /// runner copies from the engine result and transport report once,
+  /// after the run.  Everything recorded under it derives from
+  /// simulated ticks, so fixed-seed snapshots are bit-identical across
+  /// runs and thread counts.
   obs::MetricRegistry* metrics = nullptr;
   /// Phase timer sink (sim.wire / sim.schedule / sim.simulate /
   /// sim.report complete events).

@@ -29,14 +29,6 @@ Transport::Transport(PacketSim& sim, TransportOptions options,
   HP_CHECK(options_.max_retries >= 1,
            "TransportOptions: max_retries must be at least one");
   if (metrics != nullptr) {
-    obs_.sent = &metrics->counter("sim.tp.sent");
-    obs_.retransmits = &metrics->counter("sim.tp.retransmits");
-    obs_.timeouts = &metrics->counter("sim.tp.timeouts");
-    obs_.ecn_cuts = &metrics->counter("sim.tp.ecn_cuts");
-    obs_.drop_cuts = &metrics->counter("sim.tp.drop_cuts");
-    obs_.spurious = &metrics->counter("sim.tp.spurious");
-    obs_.abandoned = &metrics->counter("sim.tp.abandoned_flows");
-    obs_.completed = &metrics->counter("sim.tp.completed_flows");
     obs_.cwnd = &metrics->histogram("sim.tp.cwnd");
     obs_.rto_ns = &metrics->histogram("sim.tp.rto_ns");
   }
@@ -174,11 +166,7 @@ void Transport::send_seq(Flow& f, std::uint32_t flow_index, std::uint32_t seq,
   f.sent_at[seq] = at;
   f.last_packet[seq] = packet;
   ++report_.packets_sent;
-  if (obs_.sent != nullptr) obs_.sent->add(1);
-  if (f.tries[seq] > 1) {
-    ++report_.retransmits;
-    if (obs_.retransmits != nullptr) obs_.retransmits->add(1);
-  }
+  if (f.tries[seq] > 1) ++report_.retransmits;
   if (!f.timer_armed) arm_timer(f, flow_index, at + rto_current(f));
 }
 
@@ -222,10 +210,8 @@ void Transport::cut_window(Flow& f, Tick t, bool ecn) {
   f.ack_credit = 0;
   if (ecn) {
     ++report_.ecn_cwnd_cuts;
-    if (obs_.ecn_cuts != nullptr) obs_.ecn_cuts->add(1);
   } else {
     ++report_.drop_cwnd_cuts;
-    if (obs_.drop_cuts != nullptr) obs_.drop_cuts->add(1);
   }
   if (obs_.cwnd != nullptr) obs_.cwnd->record(f.cwnd);
 }
@@ -236,7 +222,6 @@ void Transport::abandon(Flow& f, Tick t) {
   f.lost.clear();
   disarm_timer(f);
   ++report_.abandoned_flows;
-  if (obs_.abandoned != nullptr) obs_.abandoned->add(1);
 }
 
 void Transport::on_ecn(std::uint32_t sim_flow) {
@@ -256,7 +241,6 @@ void Transport::on_delivered(Tick t, std::uint32_t sim_flow,
   if (f.state[seq] == SeqState::kDelivered) {
     // A retransmitted copy of data that already arrived.
     ++report_.spurious_deliveries;
-    if (obs_.spurious != nullptr) obs_.spurious->add(1);
     return;
   }
   if (f.state[seq] == SeqState::kOutstanding) {
@@ -283,7 +267,6 @@ void Transport::on_delivered(Tick t, std::uint32_t sim_flow,
   }
   if (f.delivered == f.total) {
     ++completed_;
-    if (obs_.completed != nullptr) obs_.completed->add(1);
     disarm_timer(f);
     return;
   }
@@ -329,7 +312,6 @@ void Transport::on_timer(Tick t, std::uint32_t rec_index) {
   ++f.timeouts;
   f.timeout_at.push_back(t);
   ++report_.timeouts;
-  if (obs_.timeouts != nullptr) obs_.timeouts->add(1);
   if (f.backoff < 63) ++f.backoff;  // exponential backoff (rto_max caps it)
   if (obs_.rto_ns != nullptr) obs_.rto_ns->record(rto_current(f));
   // Go-back-N: every outstanding sequence is presumed lost, oldest

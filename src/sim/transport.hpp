@@ -52,7 +52,6 @@
 #include "sim/packet_sim.hpp"
 
 namespace hp::obs {
-class Counter;
 class Histogram;
 class MetricRegistry;
 }  // namespace hp::obs
@@ -77,7 +76,9 @@ struct TransportOptions {
 };
 
 /// Scalar outcome of one closed-loop run (`SimReport::transport`).
-/// Counters merge by summation; `enabled` ORs.
+/// On an open-loop run `enabled` is false and only the two byte fields
+/// are filled (by SimRunner, from the engine's injected and delivered
+/// packet counts); every other field stays zero.
 struct TransportReport {
   bool enabled = false;
   std::uint64_t packets_sent = 0;  ///< injections, retransmits included
@@ -113,7 +114,9 @@ struct RouteEpoch {
 class Transport {
  public:
   /// `sim` is borrowed and must outlive the Transport; `metrics` (may
-  /// be null) receives the sim.tp.* counters and histograms.
+  /// be null) receives the sim.tp.cwnd and sim.tp.rto_ns histograms
+  /// (the sim.tp.* counters are report() fields, which the runner
+  /// copies into its registry after the run).
   /// `packet_bytes` prices offered/goodput bytes.
   Transport(PacketSim& sim, TransportOptions options,
             std::uint64_t packet_bytes, obs::MetricRegistry* metrics);
@@ -264,14 +267,6 @@ class Transport {
   /// Metric handles, all null without a registry (one-branch disabled
   /// path, same pattern as PacketSim::ObsHandles).
   struct ObsHandles {
-    obs::Counter* sent = nullptr;
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* ecn_cuts = nullptr;
-    obs::Counter* drop_cuts = nullptr;
-    obs::Counter* spurious = nullptr;
-    obs::Counter* abandoned = nullptr;
-    obs::Counter* completed = nullptr;
     obs::Histogram* cwnd = nullptr;
     obs::Histogram* rto_ns = nullptr;
   };

@@ -136,6 +136,47 @@ TEST(FailureInjector, FlapAlternatesDownUpPerLink) {
   }
 }
 
+TEST(FailureInjector, EveryFlappingLinkFailsAtLeastOnce) {
+  // A first up-dwell past the window must not leave its link never
+  // failing (ring12 seed 7, count 1 draws one).
+  const Topology topo = make_ring(12);
+  for (const std::size_t count : {std::size_t{1}, std::size_t{3}}) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      const auto schedule = make_failure_schedule(
+          topo, params_for(FailurePreset::kFlap, seed, count));
+      std::set<std::pair<NodeIndex, NodeIndex>> failed;
+      for (const LinkFailure& event : schedule) {
+        if (!event.restore) {
+          failed.insert({std::min(event.a, event.b),
+                         std::max(event.a, event.b)});
+        }
+      }
+      EXPECT_EQ(failed.size(), count)
+          << "seed " << seed << " count " << count
+          << ": a chosen link never goes down";
+    }
+  }
+}
+
+TEST(FailureInjector, FlapScheduleWhoseLinksAllFailIsPinned) {
+  // Every chosen link fails on its first dwell here, so the in-window
+  // redraw never runs: the schedule is the plain MTBF/MTTR walk, bit
+  // for bit.
+  const std::vector<LinkFailure> pinned = {
+      {0x1.50df99b45d942p-2, 10, 11, false},
+      {0x1.698c800b0fe38p-2, 10, 11, true},
+      {0x1.5db4092801466p-1, 5, 6, false},
+      {0x1.88b783512c68ap-1, 5, 6, true},
+      {0x1.919ccd35b5ecdp-1, 5, 6, false},
+      {0x1.a1c9f24b02a0cp-1, 5, 6, true},
+      {0x1.c2442f5c03d09p-1, 4, 5, false},
+  };
+  EXPECT_TRUE(same_schedule(
+      make_failure_schedule(make_ring(12),
+                            params_for(FailurePreset::kFlap, 22, 3)),
+      pinned));
+}
+
 TEST(FailureInjector, SrlgFailsACorrelatedGroupAtOneInstant) {
   // One shared-risk event on a torus: exactly srlg_size distinct links
   // down at the same fraction, no restores.

@@ -261,4 +261,38 @@ TEST(TransportRunner, FixedSeedBitIdenticalAcrossRunsAndThreadsUnderFlap) {
   }
 }
 
+TEST(TransportRunner, OpenLoopGoodputIsDeliveredOverInjected) {
+  // The open loop has no Transport, but its report still prices the
+  // stream: offered = injected packets, goodput = delivered packets.
+  const scenario::ScenarioSpec* base =
+      scenario::find_scenario("torus4x4/hotspot");
+  ASSERT_NE(base, nullptr);
+  scenario::ScenarioSpec spec = *base;
+  spec.traffic.packets = 4096;
+  spec.traffic.max_pairs = 64;
+  spec.traffic.seed = 5;
+  sim::SimOptions options = closed_loop_incast_options(spec);
+  options.transport.enabled = false;
+  options.failures.clear();
+  options.protection_k = 0;
+
+  const sim::SimReport report = sim::run_sim_scenario(spec, options);
+  EXPECT_FALSE(report.transport.enabled);
+  EXPECT_EQ(report.transport.packets_sent, 0u);
+  const std::size_t injected =
+      report.forwarding.packets + report.forwarding.dropped_packets;
+  const std::size_t delivered =
+      report.forwarding.packets - report.forwarding.ttl_expired;
+  EXPECT_EQ(injected, spec.traffic.packets);
+  EXPECT_EQ(report.transport.offered_bytes, injected * options.packet_bytes);
+  EXPECT_EQ(report.transport.goodput_bytes,
+            delivered * options.packet_bytes);
+  EXPECT_DOUBLE_EQ(report.goodput_fraction(),
+                   static_cast<double>(delivered) /
+                       static_cast<double>(injected));
+  EXPECT_LT(report.goodput_fraction(), 1.0)
+      << "the incast must drop packets for this test to bite";
+  EXPECT_GT(report.goodput_fraction(), 0.0);
+}
+
 }  // namespace
